@@ -1,11 +1,12 @@
 // Command benchguard compares fresh `go test -bench` output against the
 // committed BENCH_*.json baselines and fails when a benchmark regresses
-// past a threshold. verify.sh runs it after the bench smoke pass, so a
-// change that makes a guarded path >50% slower fails the gate the same
-// way a broken test does:
+// past a threshold (default 1.5x). verify.sh runs it after the bench
+// smoke pass with -threshold 2, so a change that makes a guarded path
+// more than twice as slow as its baseline fails the gate the same way a
+// broken test does:
 //
 //	go test -run '^$' -bench 'BenchmarkAsk$' -benchtime 100x -count 5 . > bench.out
-//	go run ./cmd/benchguard bench.out
+//	go run ./cmd/benchguard -threshold 2 bench.out
 //
 // Baselines are the `benchmarks` arrays of every BENCH_*.json in the
 // repository root ({"name": "BenchmarkAsk/untraced", "ns_per_op": N});

@@ -63,7 +63,7 @@ func main() {
 	self := flag.Bool("self", false, "spin up an in-process server instead of targeting -url")
 	corpus := flag.String("corpus", "bib", "corpus for -self: movies, library, bib or dblp")
 	scale := flag.Int("scale", 1, "corpus scale for -self -corpus dblp (1 ≈ 73k nodes, 14 ≈ 1M, 140 ≈ 10M)")
-	shards := flag.Int("shards", 1, "document shards per -self session; >1 evaluates scatter-gather in parallel")
+	shards := flag.Int("shards", 1, "windows each -self query evaluation is split into; >1 evaluates them in parallel")
 	sessions := flag.Int("sessions", runtime.GOMAXPROCS(0), "engine sessions for -self")
 	endpoint := flag.String("endpoint", "ask", "endpoint to drive: ask, translate, query or keyword")
 	question := flag.String("question", `Find all books published by "Addison-Wesley" after 1991.`, "question (or raw XQuery for -endpoint query)")
@@ -329,7 +329,7 @@ func selfServer(corpus string, scale, shards, sessions int, nocache, sample bool
 		if shards > 1 {
 			e.SetShards(shards)
 		}
-		// One shared, prewarmed document across the session pool: the
+		// One shared document across the session pool: the
 		// scaled corpora are too large to copy per session.
 		e.LoadDocument(doc)
 		engines[i] = e

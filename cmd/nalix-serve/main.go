@@ -101,7 +101,7 @@ func main() {
 	flag.StringVar(&opt.docPath, "doc", "", "XML file to serve")
 	flag.StringVar(&opt.corpus, "corpus", "bib", "built-in corpus when -doc is absent: movies, library, bib or dblp")
 	flag.IntVar(&opt.scale, "scale", 1, "corpus scale factor for -corpus dblp (1 ≈ 73k nodes, 14 ≈ 1M, 140 ≈ 10M)")
-	flag.IntVar(&opt.shards, "shards", 1, "document shards per session; >1 evaluates queries scatter-gather in parallel")
+	flag.IntVar(&opt.shards, "shards", 1, "windows each query evaluation is split into; >1 evaluates them in parallel")
 	flag.IntVar(&opt.sessions, "sessions", runtime.GOMAXPROCS(0), "engine sessions (bounds concurrent evaluations)")
 	flag.DurationVar(&opt.slow, "slow", server.DefaultSlowThreshold, "slow-query wall-time threshold (negative disables)")
 	flag.DurationVar(&opt.slowStage, "slow-stage", 0, "slow-query per-stage threshold (0 derives half of -slow; negative disables)")
@@ -146,7 +146,7 @@ func run(opt options) error {
 		if opt.shards > 1 {
 			e.SetShards(opt.shards)
 		}
-		// One shared, prewarmed document: at -scale 14 the corpus is a
+		// One shared document: at -scale 14 the corpus is a
 		// million nodes, so per-session copies would multiply load time
 		// and resident memory by the session count.
 		e.LoadDocument(doc)

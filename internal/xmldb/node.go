@@ -137,11 +137,11 @@ type Document struct {
 	byLabel map[string][]*Node // element+attribute nodes per label, pre-order
 	labels  []string           // sorted distinct labels
 
-	// byValue is a lazily built per-label value index used by the query
-	// planner for equality pushdown: label → normalized value → nodes.
+	// byValue is the per-label value index used by the query planner
+	// for equality pushdown: label → normalized value → nodes.
 	byValue map[string]map[string][]*Node
-	// anyValue is a lazily built document-wide value index used to
-	// resolve implicit name tokens: normalized value → nodes.
+	// anyValue is the document-wide value index used to resolve
+	// implicit name tokens: lowercased trimmed value → nodes.
 	anyValue map[string][]*Node
 }
 
@@ -176,63 +176,15 @@ func NormalizeValue(s string) string {
 
 // NodesByLabelValue returns the nodes with the given label whose
 // normalized atomized value equals the normalized value, in document
-// order, or nil when the label does not occur. The index is built on
-// first use per label; probes for absent labels allocate nothing and
-// write nothing, so a document whose present labels have been probed
-// (or prewarmed — see PrewarmValueIndexes) can be shared read-only
-// across concurrent evaluators.
+// order, or nil when none does. The index is built with the document, so
+// a probe is a pure read and a document can be shared between
+// concurrent evaluators.
 func (d *Document) NodesByLabelValue(label, value string) []*Node {
 	idx, ok := d.byValue[label]
 	if !ok {
-		if _, present := d.byLabel[label]; !present {
-			// Miss path: an absent label can never have value matches.
-			// Returning early keeps the probe allocation- and write-free
-			// (the scatter path multiplies probes by shard count).
-			return nil
-		}
-		idx = make(map[string][]*Node)
-		for _, n := range d.byLabel[label] {
-			key := NormalizeValue(n.Value())
-			idx[key] = append(idx[key], n)
-		}
-		if d.byValue == nil {
-			d.byValue = make(map[string]map[string][]*Node, len(d.byLabel))
-		}
-		d.byValue[label] = idx
+		return nil // absent label: skip normalizing the value
 	}
 	return idx[NormalizeValue(value)]
-}
-
-// PrewarmValueIndexes eagerly builds the per-label value index for every
-// label and the document-wide value index, so later NodesByLabelValue /
-// NodesWithValue calls are pure reads. The sharded store calls this once
-// at load time: shard evaluators then probe one shared document from
-// many goroutines without synchronization.
-func (d *Document) PrewarmValueIndexes() {
-	if d.byValue == nil {
-		d.byValue = make(map[string]map[string][]*Node, len(d.byLabel))
-	}
-	for _, label := range d.labels {
-		if _, ok := d.byValue[label]; ok {
-			continue
-		}
-		idx := make(map[string][]*Node)
-		for _, n := range d.byLabel[label] {
-			key := NormalizeValue(n.Value())
-			idx[key] = append(idx[key], n)
-		}
-		d.byValue[label] = idx
-	}
-	if d.anyValue == nil {
-		d.anyValue = make(map[string][]*Node)
-		for _, n := range d.nodes {
-			if n.Kind != ElementNode && n.Kind != AttributeNode {
-				continue
-			}
-			key := strings.ToLower(strings.TrimSpace(n.Value()))
-			d.anyValue[key] = append(d.anyValue[key], n)
-		}
-	}
 }
 
 // RootElement returns the top-level element of the document.
@@ -328,19 +280,9 @@ func (d *Document) SubtreeContainsLabel(root *Node, label string, exclude *Node)
 
 // NodesWithValue returns element and attribute nodes whose atomized value
 // equals (case-insensitively) the given string, in document order. Used to
-// resolve implicit name tokens (Definition 11 of the paper). The
-// underlying index is built once, on first use.
+// resolve implicit name tokens (Definition 11 of the paper). The index is
+// built with the document, so a probe is a pure read.
 func (d *Document) NodesWithValue(value string) []*Node {
-	if d.anyValue == nil {
-		d.anyValue = make(map[string][]*Node)
-		for _, n := range d.nodes {
-			if n.Kind != ElementNode && n.Kind != AttributeNode {
-				continue
-			}
-			key := strings.ToLower(strings.TrimSpace(n.value))
-			d.anyValue[key] = append(d.anyValue[key], n)
-		}
-	}
 	return d.anyValue[strings.ToLower(strings.TrimSpace(value))]
 }
 
@@ -415,4 +357,21 @@ func (d *Document) finalize() {
 		d.labels = append(d.labels, l)
 	}
 	sort.Strings(d.labels)
+	// Value indexes, built in pre-order so every node list is Pre-sorted.
+	d.byValue = make(map[string]map[string][]*Node, len(d.byLabel))
+	for _, label := range d.labels {
+		idx := make(map[string][]*Node)
+		for _, n := range d.byLabel[label] {
+			key := NormalizeValue(n.value)
+			idx[key] = append(idx[key], n)
+		}
+		d.byValue[label] = idx
+	}
+	d.anyValue = make(map[string][]*Node)
+	for _, n := range d.nodes {
+		if n.Kind == ElementNode || n.Kind == AttributeNode {
+			key := strings.ToLower(strings.TrimSpace(n.value))
+			d.anyValue[key] = append(d.anyValue[key], n)
+		}
+	}
 }

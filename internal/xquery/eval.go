@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"nalix/internal/cache"
 	"nalix/internal/fulltext"
@@ -16,15 +17,16 @@ import (
 // Engine evaluates queries against a set of loaded documents. A zero-value
 // Engine is not usable; construct one with NewEngine. Configure an Engine
 // first — AddDocument calls and option fields are not synchronized — and
-// then evaluate: once configuration is done, Query, Eval and EvalTraced
-// are safe for concurrent use. An internal lock serializes evaluations,
-// because the binding budget and the lazily built full-text indexes are
-// per-evaluation mutable state.
+// then evaluate: once configuration is done, Query, Eval, EvalTraced and
+// EvalSharded are safe for concurrent use, and evaluations run in
+// parallel. Each evaluation keeps its mutable state (binding budget,
+// environment frames, stage trace) in its own evaluation context; the
+// caches evaluations share — compiled programs with their domain memos,
+// the mqf checkers and the full-text indexes — are guarded by mutexes.
 type Engine struct {
 	docs     map[string]*xmldb.Document
 	defName  string
 	checkers map[string]*mqf.Checker
-	ftIdx    map[string]*fulltext.Index // lazy full-text indexes
 
 	// MQFDisabled makes mqf() degenerate to "always true" (pure
 	// cross-product joins). Used by the ablation benchmarks only.
@@ -49,22 +51,10 @@ type Engine struct {
 	// exactly what the strategy-parity tests assert.
 	ForceStrategy string
 
-	steps int
-
 	// rootDoc maps each loaded document's root node to its document, so
 	// docForNode is one ancestor walk plus a map hit instead of a sorted
 	// scan over every document name.
 	rootDoc map[*xmldb.Node]*xmldb.Document
-
-	// windows, when non-empty, restricts the driving clause of top-level
-	// FLWOR evaluations to a Pre-range per document — the engine then
-	// evaluates one shard's slice of every query (see window.go and
-	// internal/shard). Set via SetEvalWindow before concurrent use.
-	windows map[string]evalWindow
-	// topFLWOR marks the expression of the evaluation in flight when
-	// windows are armed, so evalFLWOR windows only the outermost FLWOR
-	// and never nested ones. Guarded by evalMu like all eval state.
-	topFLWOR *FLWOR
 
 	// planCache, when set via SetPlanCache, memoizes Compile results by
 	// query text. Sound without any invalidation: an Expr is a pure
@@ -72,27 +62,15 @@ type Engine struct {
 	// and evaluation never mutates the AST.
 	planCache *cache.Cache[string, Expr]
 
+	// mu guards the caches concurrent evaluations fill lazily.
+	mu sync.Mutex
 	// progCache memoizes compiled FLWOR programs (clause order, domain
 	// strategies, conjunct readiness, domain memos) for root-environment
 	// evaluations, keyed by AST identity and the option flags the plan
-	// depends on. Invalidated wholesale by AddDocument. Guarded by evalMu
-	// like all evaluation state.
+	// depends on. Invalidated wholesale by AddDocument.
 	progCache map[progKey]*program
-
-	// evalMu serializes evaluations (see the type comment). It guards
-	// nothing lexically: every field access happens inside evalOne and
-	// below, which run with the lock held via EvalTraced.
-	evalMu sync.Mutex
-	// envArena block-allocates the per-binding environment frames of the
-	// evaluation in flight. Frames never outlive an evaluation (results
-	// carry Items, not environments), so evalOne rewinds the arena and
-	// the next evaluation overwrites the same blocks — the binding
-	// search's biggest allocation source becomes ~free.
-	envArena []env
-	envUsed  int
-	// tr accumulates stage timings for the evaluation in flight; nil
-	// when tracing is off.
-	tr *evalTrace
+	// ftIdx holds the full-text indexes, built on first ftcontains().
+	ftIdx map[string]*fulltext.Index
 }
 
 // ErrBudget is returned (wrapped) when a query exceeds the binding budget.
@@ -124,7 +102,10 @@ func (e *Engine) AddDocument(d *xmldb.Document) {
 	e.checkers[d.Name] = mqf.NewChecker(d)
 	// Compiled programs resolve documents, checkers and domain contents
 	// eagerly, so any document change invalidates them all.
+	e.mu.Lock()
 	e.progCache = nil
+	delete(e.ftIdx, d.Name)
+	e.mu.Unlock()
 	if e.defName == "" {
 		e.defName = d.Name
 	}
@@ -203,56 +184,102 @@ func (e *Engine) Eval(expr Expr) (Sequence, error) {
 // relatedness checking, plus binding-budget attributes. A nil sp makes it
 // identical to Eval: nothing is recorded and the clock is never read.
 func (e *Engine) EvalTraced(expr Expr, sp *obs.Span) (Sequence, error) {
-	e.evalMu.Lock()
-	defer e.evalMu.Unlock()
-	return e.evalOne(expr, sp)
+	return e.evalOne(expr, sp, nil, nil)
 }
 
-// evalOne runs one evaluation; the caller holds evalMu.
-func (e *Engine) evalOne(expr Expr, sp *obs.Span) (Sequence, error) {
+// evalCtx is the mutable state of one evaluation call. Every env frame
+// points at its call's context, so concurrent evaluations on one Engine
+// share nothing mutable but the engine's guarded caches.
+type evalCtx struct {
+	// steps counts the bindings this call explored against limit. The
+	// windows of a sharded evaluation share one budget: each adds its
+	// count to shared in batches of spendBatch (flushed is the part
+	// already added), so the windows do not contend on every spend.
+	steps, flushed, limit int64
+	shared                *atomic.Int64
+	// tr accumulates stage timings; nil when tracing is off.
+	tr *evalTrace
+	// arena block-allocates the environment frames. Frames never outlive
+	// their evaluation (results carry Items, not environments), so a
+	// context returned to ctxPool hands its block to the next evaluation.
+	arena []env
+	used  int
+	root  env
+}
+
+var ctxPool = sync.Pool{New: func() any { return new(evalCtx) }}
+
+// evalOne runs one evaluation in a pooled context. shared, when non-nil,
+// is the budget counter of a sharded evaluation's windows, and the
+// call's whole count has been added to it on return; win, when non-nil,
+// restricts the driving clause of expr — a shardable FLWOR — to a Pre
+// range.
+func (e *Engine) evalOne(expr Expr, sp *obs.Span, shared *atomic.Int64, win *Range) (Sequence, error) {
 	evalsTotal.Add(1)
-	e.steps = 0
-	e.envUsed = 0 // previous evaluation's frames are dead; reuse them
-	e.topFLWOR = nil
-	if len(e.windows) > 0 {
-		if !e.Shardable(expr) {
-			return nil, fmt.Errorf("%w: %T", ErrNotShardable, expr)
-		}
-		e.topFLWOR = expr.(*FLWOR)
-	}
-	e.tr = nil
+	c := ctxPool.Get().(*evalCtx)
+	c.steps, c.flushed, c.shared = 0, 0, shared
+	c.limit = e.stepLimit()
+	c.tr = nil
 	if sp != nil {
-		e.tr = &evalTrace{}
+		c.tr = &evalTrace{}
 	}
-	env := &env{engine: e}
-	out, err := e.eval(expr, env)
-	e.tr.flush(sp)
-	e.tr = nil
+	c.used = 0
+	c.root = env{ctx: c}
+	var out Sequence
+	var err error
+	if win != nil {
+		out, err = e.evalFLWOR(expr.(*FLWOR), &c.root, win)
+	} else {
+		out, err = e.eval(expr, &c.root)
+	}
+	if shared != nil {
+		shared.Add(c.steps - c.flushed)
+	}
+	c.tr.flush(sp)
 	if sp != nil {
-		sp.SetInt("steps", int64(e.steps))
+		sp.SetInt("steps", c.steps)
 		sp.SetInt("items", int64(len(out)))
 	}
+	c.tr, c.shared = nil, nil
+	ctxPool.Put(c)
 	return out, err
 }
 
-// spend consumes n units of the binding budget.
-func (e *Engine) spend(n int) error {
-	e.steps += n
-	limit := e.MaxSteps
-	if limit <= 0 {
-		limit = 20_000_000
+// stepLimit is the binding budget of one evaluation.
+func (e *Engine) stepLimit() int64 {
+	if e.MaxSteps <= 0 {
+		return 20_000_000
 	}
-	if e.steps > limit {
+	return int64(e.MaxSteps)
+}
+
+// spendBatch is how many bindings a window counts locally before adding
+// them to its evaluation's shared budget, so each window overshoots an
+// exhausted budget by at most this much before it stops.
+const spendBatch = 1024
+
+// spend consumes n units of the binding budget.
+func (c *evalCtx) spend(n int) error {
+	c.steps += int64(n)
+	total := c.steps
+	if c.shared != nil {
+		if c.steps-c.flushed < spendBatch {
+			return nil
+		}
+		total = c.shared.Add(c.steps - c.flushed)
+		c.flushed = c.steps
+	}
+	if total > c.limit {
 		return ErrBudget
 	}
 	return nil
 }
 
 // env is a linked-list variable environment. Frames come from the
-// engine's arena: they are only valid during the evaluation that created
-// them.
+// evaluation context's arena: they are only valid during the evaluation
+// that created them.
 type env struct {
-	engine *Engine
+	ctx    *evalCtx
 	name   string
 	value  Sequence
 	parent *env
@@ -261,16 +288,16 @@ type env struct {
 const envArenaBlock = 512
 
 func (v *env) bind(name string, value Sequence) *env {
-	e := v.engine
-	if e.envUsed == len(e.envArena) {
+	c := v.ctx
+	if c.used == len(c.arena) {
 		// A fresh block: frames of the previous block stay reachable
 		// through their parent links until the evaluation ends.
-		e.envArena = make([]env, envArenaBlock)
-		e.envUsed = 0
+		c.arena = make([]env, envArenaBlock)
+		c.used = 0
 	}
-	f := &e.envArena[e.envUsed]
-	e.envUsed++
-	*f = env{engine: e, name: name, value: value, parent: v}
+	f := &c.arena[c.used]
+	c.used++
+	*f = env{ctx: c, name: name, value: value, parent: v}
 	return f
 }
 
@@ -286,7 +313,7 @@ func (v *env) lookup(name string) (Sequence, bool) {
 func (e *Engine) eval(expr Expr, env *env) (Sequence, error) {
 	switch x := expr.(type) {
 	case *FLWOR:
-		return e.evalFLWOR(x, env)
+		return e.evalFLWOR(x, env, nil)
 	case *DocRef:
 		d, ok := e.Document(x.Name)
 		if !ok {
@@ -436,6 +463,16 @@ type program struct {
 	// envFree[i] reports whether clause i's source references variables —
 	// sources that don't are evaluated once and memoized in domains.
 	envFree []bool
+	// drivingIdx is the evaluation-order index of the driving clause (the
+	// original first for-clause, the one an evaluation window restricts),
+	// or -1 when the query has none.
+	drivingIdx int
+
+	// mu guards the domain memos, which every evaluation of the program
+	// reads and fills — concurrently when evaluations overlap. Reads
+	// dominate once the memos are warm, and the windows of a sharded
+	// evaluation probe them in parallel, so readers share the lock.
+	mu      sync.RWMutex
 	domains map[int]Sequence // scan-strategy domains of env-independent sources
 	// eqDomains memoizes equality-pushdown domains whose comparand is a
 	// literal (a bound-variable comparand changes per tuple, so it is
@@ -445,13 +482,6 @@ type program struct {
 	// partner nodes that produced it (document order positions identify
 	// nodes within one document).
 	structMemo []map[partnerKey]Sequence
-	// drivingIdx is the evaluation-order index of the driving clause (the
-	// original first for-clause — the one an evaluation window restricts),
-	// or -1 when the query has none; drivingDoc names the document it
-	// ranges over. Computed for every program so cached programs work on
-	// windowed and unwindowed engines alike.
-	drivingIdx int
-	drivingDoc string
 }
 
 // partnerKey identifies a structural domain by its resolved partner
@@ -481,7 +511,10 @@ func (e *Engine) flworProgram(f *FLWOR, env0 *env) *program {
 	var key progKey
 	if cacheable {
 		key = progKey{f: f, force: e.ForceStrategy, noPlan: e.DisablePlanner, noMQF: e.MQFDisabled}
-		if p, ok := e.progCache[key]; ok {
+		e.mu.Lock()
+		p, ok := e.progCache[key]
+		e.mu.Unlock()
+		if ok {
 			return p
 		}
 	}
@@ -545,20 +578,23 @@ func (e *Engine) flworProgram(f *FLWOR, env0 *env) *program {
 	p.eqDomains = make(map[int]Sequence)
 	p.structMemo = make([]map[partnerKey]Sequence, len(clauses))
 	p.drivingIdx = -1
-	if v, docName, ok := e.drivingClause(f); ok {
+	if v, _, ok := e.drivingClause(f); ok {
 		for i, cl := range clauses {
 			if cl.Kind == ForClause && cl.Var == v {
 				p.drivingIdx = i
-				p.drivingDoc = docName
 				break
 			}
 		}
 	}
 	if cacheable {
+		// A racing evaluation may have compiled the same program; either
+		// copy is equivalent, so the last store wins.
+		e.mu.Lock()
 		if e.progCache == nil || len(e.progCache) >= 256 {
 			e.progCache = make(map[progKey]*program)
 		}
 		e.progCache[key] = p
+		e.mu.Unlock()
 	}
 	return p
 }
@@ -637,7 +673,10 @@ func literalItem(x Expr) (Item, bool) {
 	return nil, false
 }
 
-func (e *Engine) evalFLWOR(f *FLWOR, env0 *env) (Sequence, error) {
+// evalFLWOR evaluates f under env0. win, when non-nil, restricts the
+// driving clause's bindings to a Pre range: the caller evaluates one
+// window of a sharded evaluation (see EvalSharded).
+func (e *Engine) evalFLWOR(f *FLWOR, env0 *env, win *Range) (Sequence, error) {
 	type tuple struct {
 		env     *env
 		keys    []Item
@@ -645,22 +684,17 @@ func (e *Engine) evalFLWOR(f *FLWOR, env0 *env) (Sequence, error) {
 	}
 	var tuples []tuple
 
-	pt0 := e.tr.clock()
+	c := env0.ctx
+	pt0 := c.tr.clock()
 	prog := e.flworProgram(f, env0)
 	clauses := prog.g.Clauses
 	conjuncts, plan, reordered := prog.conjuncts, prog.plan, prog.reordered
 	if plan != nil && plan.dischargedCount > 0 {
 		mqfDischarged.Add(plan.dischargedCount)
-		e.tr.discharge(plan.dischargedCount)
+		c.tr.discharge(plan.dischargedCount)
 	}
-	e.tr.plan(pt0)
+	c.tr.plan(pt0)
 	readyAt := prog.readyAt
-	if f == e.topFLWOR && prog.drivingIdx < 0 {
-		// evalOne vetted the expression with Shardable, so a program
-		// without a driving clause here means the two predicates
-		// diverged — fail loudly rather than return duplicated results.
-		return nil, fmt.Errorf("%w: compiled program has no driving clause", ErrNotShardable)
-	}
 
 	var expand func(i int, cur *env) error
 	expand = func(i int, cur *env) error {
@@ -717,26 +751,24 @@ func (e *Engine) evalFLWOR(f *FLWOR, env0 *env) (Sequence, error) {
 		}
 		cl := clauses[i]
 		if cl.Kind == LetClause {
-			lt0 := e.tr.clock()
+			lt0 := c.tr.clock()
 			src, err := e.eval(cl.Source, cur)
-			e.tr.clause("let", cl.Var, len(src), lt0)
+			c.tr.clause("let", cl.Var, len(src), lt0)
 			if err != nil {
 				return err
 			}
 			return expand(i+1, cur.bind(cl.Var, src))
 		}
-		ft0 := e.tr.clock()
+		ft0 := c.tr.clock()
 		src, err := e.forDomain(prog, i, cur)
-		if err == nil && f == e.topFLWOR && i == prog.drivingIdx {
-			if win, ok := e.windows[prog.drivingDoc]; ok {
-				src = windowSequence(src, win.lo, win.hi)
-			}
+		if win != nil && i == prog.drivingIdx {
+			src = windowSequence(src, win.Lo, win.Hi)
 		}
-		e.tr.clause("for", cl.Var, len(src), ft0)
+		c.tr.clause("for", cl.Var, len(src), ft0)
 		if err != nil {
 			return err
 		}
-		if err := e.spend(len(src)); err != nil {
+		if err := c.spend(len(src)); err != nil {
 			return err
 		}
 		for j := range src {
@@ -863,16 +895,22 @@ func (e *Engine) evalPath(p *PathExpr, env *env) (Sequence, error) {
 	return cur, nil
 }
 
-// ftIndex returns (building lazily) the full-text index for a document.
+// ftIndex returns the full-text index for a document, building it on
+// first use. Racing first uses may each build one; either is equivalent.
 func (e *Engine) ftIndex(doc *xmldb.Document) *fulltext.Index {
+	e.mu.Lock()
+	idx, ok := e.ftIdx[doc.Name]
+	e.mu.Unlock()
+	if ok {
+		return idx
+	}
+	idx = fulltext.NewIndex(doc)
+	e.mu.Lock()
 	if e.ftIdx == nil {
 		e.ftIdx = make(map[string]*fulltext.Index)
 	}
-	idx, ok := e.ftIdx[doc.Name]
-	if !ok {
-		idx = fulltext.NewIndex(doc)
-		e.ftIdx[doc.Name] = idx
-	}
+	e.ftIdx[doc.Name] = idx
+	e.mu.Unlock()
 	return idx
 }
 

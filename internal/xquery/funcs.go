@@ -49,7 +49,7 @@ func (e *Engine) evalFunc(call *FuncCall, env *env) (Sequence, error) {
 		}
 		return aggregate(call.Name, args[0])
 	case "mqf":
-		return e.evalMQF(args)
+		return e.evalMQF(args, env.ctx.tr)
 	case "ftcontains":
 		// TeXQuery-style phrase matching: true when any node argument's
 		// subtree contains the phrase at token boundaries.
@@ -237,7 +237,7 @@ func aggregate(name string, s Sequence) (Sequence, error) {
 // bound to the argument variables must form a meaningful group in their
 // document. Empty arguments make the predicate false (no witness); atomic
 // arguments are an error.
-func (e *Engine) evalMQF(args []Sequence) (Sequence, error) {
+func (e *Engine) evalMQF(args []Sequence, tr *evalTrace) (Sequence, error) {
 	if e.MQFDisabled {
 		return Sequence{BoolItem{true}}, nil
 	}
@@ -266,8 +266,8 @@ func (e *Engine) evalMQF(args []Sequence) (Sequence, error) {
 			return Sequence{BoolItem{false}}, nil // cross-document: never related
 		}
 	}
-	t0 := e.tr.clock()
+	t0 := tr.clock()
 	ok, pairs := e.checkers[doc.Name].RelatedAllCounted(nodes)
-	e.tr.mqf(pairs, t0)
+	tr.mqf(pairs, t0)
 	return Sequence{BoolItem{ok}}, nil
 }

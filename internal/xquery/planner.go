@@ -292,7 +292,7 @@ func (e *Engine) ExplainPlan(expr Expr) *PlanReport {
 	if !ok {
 		return nil
 	}
-	env0 := &env{engine: e}
+	env0 := &env{}
 	conjuncts := splitConjuncts(f.Where)
 	rep := &PlanReport{}
 	clauses := f.Clauses
@@ -708,23 +708,29 @@ func (e *Engine) forDomain(prog *program, i int, cur *env) (Sequence, error) {
 	if e.DisablePlanner || plan == nil {
 		return e.eval(cl.Source, cur)
 	}
+	tr := cur.ctx.tr
 	cp := &plan.clauses[i]
 	if cp.strategy == stratEquality {
 		// Equality pushdown: a conjunct $x = <constant or bound var>
 		// turns the domain scan into a value-index lookup. Literal
 		// comparands give the same domain every tuple, so it is memoized
 		// on the program.
-		if seq, hit := prog.eqDomains[i]; hit {
+		prog.mu.RLock()
+		seq, hit := prog.eqDomains[i]
+		prog.mu.RUnlock()
+		if hit {
 			domainEquality.Add(1)
-			e.tr.domain(stratEquality)
+			tr.domain(stratEquality)
 			return seq, nil
 		}
 		if seq, literal, hit := e.equalityCandidates(cp.doc, cp.label, cl.Var, cur, prog.conjuncts); hit {
 			if literal {
+				prog.mu.Lock()
 				prog.eqDomains[i] = seq
+				prog.mu.Unlock()
 			}
 			domainEquality.Add(1)
-			e.tr.domain(stratEquality)
+			tr.domain(stratEquality)
 			return seq, nil
 		}
 	}
@@ -732,22 +738,27 @@ func (e *Engine) forDomain(prog *program, i int, cur *env) (Sequence, error) {
 		len(cp.partnerVars) > 0 && !e.MQFDisabled {
 		if out, ok := e.structuralDomain(prog, i, cp, cur); ok {
 			domainStructural.Add(1)
-			e.tr.domain(stratStructural)
+			tr.domain(stratStructural)
 			return out, nil
 		}
 	}
 	domainScan.Add(1)
-	e.tr.domain(stratScan)
+	tr.domain(stratScan)
 	// Environment-independent source: evaluate once and cache.
 	if !prog.envFree[i] {
-		if seq, ok := prog.domains[i]; ok {
+		prog.mu.RLock()
+		seq, ok := prog.domains[i]
+		prog.mu.RUnlock()
+		if ok {
 			return seq, nil
 		}
 		seq, err := e.eval(cl.Source, cur)
 		if err != nil {
 			return nil, err
 		}
+		prog.mu.Lock()
 		prog.domains[i] = seq
+		prog.mu.Unlock()
 		return seq, nil
 	}
 	return e.eval(cl.Source, cur)
@@ -793,7 +804,10 @@ func (e *Engine) structuralDomain(prog *program, i int, cp *clausePlan, cur *env
 		for k, n := range nodes {
 			key.pre[k] = int32(n.Pre)
 		}
-		if seq, ok := prog.structMemo[i][key]; ok {
+		prog.mu.RLock()
+		seq, ok := prog.structMemo[i][key]
+		prog.mu.RUnlock()
+		if ok {
 			return seq, true
 		}
 	}
@@ -835,12 +849,14 @@ func (e *Engine) structuralDomain(prog *program, i int, cp *clausePlan, cur *env
 		}
 	}
 	if useMemo {
+		prog.mu.Lock()
 		m := prog.structMemo[i]
 		if m == nil || len(m) >= structMemoCap {
 			m = make(map[partnerKey]Sequence)
 			prog.structMemo[i] = m
 		}
 		m[key] = out
+		prog.mu.Unlock()
 	}
 	return out, true
 }

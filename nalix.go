@@ -36,7 +36,6 @@ import (
 	"nalix/internal/keyword"
 	"nalix/internal/obs"
 	"nalix/internal/ontology"
-	"nalix/internal/shard"
 	"nalix/internal/xmldb"
 	"nalix/internal/xquery"
 )
@@ -48,8 +47,8 @@ var queriesTotal = obs.NewCounter("queries_total")
 // translation pipeline. Configure it first — New, LoadXML, LoadXMLString,
 // AddSynonyms and EnableTracing are not synchronized — and then query:
 // once configuration is done, Ask, Translate, Query and KeywordSearch are
-// safe for concurrent use from multiple goroutines (evaluations are
-// serialized internally by the XQuery engine).
+// safe for concurrent use from multiple goroutines, and their XQuery
+// evaluations run in parallel.
 type Engine struct {
 	xq          *xquery.Engine
 	ont         *ontology.Ontology
@@ -57,11 +56,8 @@ type Engine struct {
 	keywords    map[string]*keyword.Engine
 	defName     string
 
-	// store, when non-nil, evaluates queries scatter-gather across N
-	// Pre-range shards of each document (see SetShards and
-	// internal/shard); e.xq doubles as its fallback engine for queries
-	// that cannot be partitioned, so answers are identical either way.
-	store  *shard.Store
+	// shards is the number of Pre windows each evaluation is split into
+	// (see SetShards); 0 or 1 evaluates whole.
 	shards int
 
 	// rec retains finished traces when tracing is enabled; nil keeps
@@ -258,63 +254,43 @@ func (e *Engine) LoadXMLString(name, xml string) error {
 
 // LoadDocument registers an already-built document, skipping the
 // serialize/parse round-trip LoadXMLString would cost — the path scale
-// tools use to serve generated million-node corpora directly. The
-// document's lazy value indexes are built eagerly so one document can
-// be shared read-only between several engines (a server's session
-// pool). Like the other Load methods this is configuration: call before
-// querying concurrently.
+// tools use to serve generated million-node corpora directly, and to
+// share one document read-only between several engines (a server's
+// session pool). Like the other Load methods this is configuration: call
+// before querying concurrently.
 func (e *Engine) LoadDocument(doc *xmldb.Document) {
-	doc.PrewarmValueIndexes()
 	e.addDoc(doc)
 }
 
-// SetShards partitions every loaded (and subsequently loaded) document
-// into n contiguous subtree-granularity shards and evaluates queries
-// scatter-gather across them on a bounded worker pool; n <= 1 restores
-// single-engine evaluation. Answers are byte-identical in either mode —
-// queries whose results cannot be partitioned (order-by, non-FLWOR)
-// fall back to the unsharded engine automatically. This is
-// configuration: call it before querying concurrently.
+// SetShards splits every evaluation into n windows over contiguous,
+// subtree-granularity Pre ranges of the document and evaluates them in
+// parallel; n <= 1 restores whole evaluation. Answers are byte-identical
+// in either mode — queries whose results cannot be split (order-by,
+// non-FLWOR) are evaluated whole automatically (see
+// xquery.Engine.EvalSharded). This is configuration: call it before
+// querying concurrently.
 func (e *Engine) SetShards(n int) {
 	e.corpusGen.Add(1) // sharded and unsharded runs never share cached results
-	if n <= 1 {
-		e.store = nil
-		e.shards = 1
-		return
-	}
 	e.shards = n
-	e.store = shard.NewStore(n, e.xq)
-	for _, name := range e.Documents() {
-		if d, ok := e.xq.Document(name); ok {
-			e.store.AddDocument(d)
-		}
-	}
 }
 
 // Shards returns the configured shard count (1 when sharding is off).
 func (e *Engine) Shards() int {
-	if e.store == nil {
-		return 1
-	}
-	return e.shards
+	return max(e.shards, 1)
 }
 
-// evalTraced evaluates a compiled expression, routing through the
-// sharded store when sharding is enabled.
+// evalTraced evaluates a compiled expression, split into windows when
+// sharding is enabled.
 func (e *Engine) evalTraced(expr xquery.Expr, sp *obs.Span) (xquery.Sequence, error) {
-	if e.store != nil {
-		return e.store.EvalTraced(expr, sp)
+	if e.shards > 1 {
+		return e.xq.EvalSharded(expr, e.shards, sp)
 	}
 	return e.xq.EvalTraced(expr, sp)
 }
 
 func (e *Engine) addDoc(doc *xmldb.Document) {
 	e.corpusGen.Add(1)
-	if e.store != nil {
-		e.store.AddDocument(doc) // also registers with e.xq, its fallback
-	} else {
-		e.xq.AddDocument(doc)
-	}
+	e.xq.AddDocument(doc)
 	tr := core.NewTranslator(doc, e.ont)
 	if e.transCache != nil {
 		tr.SetCache(e.transCache)
@@ -334,10 +310,6 @@ func (e *Engine) addDoc(doc *xmldb.Document) {
 // document over an existing name flushes the replaced document's counts
 // automatically.
 func (e *Engine) Close() {
-	if e.store != nil {
-		e.store.FlushStats() // covers e.xq, its fallback engine
-		return
-	}
 	e.xq.FlushStats()
 }
 

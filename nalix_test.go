@@ -1,7 +1,9 @@
 package nalix
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -140,5 +142,32 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := e.Ask("", "List all titles."); err == nil {
 		t.Error("expected error with no documents loaded")
+	}
+}
+
+// TestColdConcurrentAsk asks one question from four goroutines on a
+// freshly loaded engine, so every first use of the document's indexes
+// happens concurrently. Run with -race.
+func TestColdConcurrentAsk(t *testing.T) {
+	e := newEngine(t)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ans, err := e.Ask("", `Find all books published by "Addison-Wesley" after 1991.`)
+			if err == nil && (!ans.Accepted || len(ans.Results) != 1) {
+				err = fmt.Errorf("accepted=%v results=%d, want one accepted result", ans.Accepted, len(ans.Results))
+			}
+			if err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

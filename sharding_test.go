@@ -50,8 +50,8 @@ func TestShardedEngineMatchesUnsharded(t *testing.T) {
 	if asked == 0 {
 		t.Fatal("no accepted phrasings; parity vacuous")
 	}
-	// The scatter path must actually have run: shard_evals_total grows by
-	// the shard count for every sharded evaluation that didn't fall back.
+	// The windows must actually have run: shard_evals_total grows by the
+	// shard count for every sharded evaluation that wasn't evaluated whole.
 	if after := obs.Default.Snapshot().Counter("shard_evals_total"); after == before {
 		t.Error("shard_evals_total did not move; sharded engine never scattered")
 	}
@@ -72,12 +72,30 @@ func TestShardedQueryAndClose(t *testing.T) {
 		t.Fatal("sharded Query returned no values")
 	}
 
-	// order-by routes to the fallback engine but must still answer.
+	// A traced sharded evaluation carries one span per window plus the
+	// merge under its eval span.
+	traced, err := e.QueryTraced(`for $b in doc("dblp.xml")//book return $b/title`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var children []string
+	for _, sp := range traced.Trace.Root.Children {
+		if sp.Name == "eval" {
+			for _, c := range sp.Children {
+				children = append(children, c.Name)
+			}
+		}
+	}
+	if got := strings.Join(children, " "); got != "shard0 shard1 shard2 merge" {
+		t.Errorf("eval span children = %q, want per-window spans and merge", got)
+	}
+
+	// order-by cannot be split into windows; it is evaluated whole.
 	ans2, err := e.Query(`for $b in doc("dblp.xml")//book order by $b/title return $b/title`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ans2.Values) == 0 {
-		t.Fatal("fallback Query returned no values")
+		t.Fatal("order-by Query returned no values")
 	}
 }
