@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"nalix/internal/core"
 	"nalix/internal/dataset"
@@ -156,37 +155,37 @@ func BenchmarkEndToEndAsk(b *testing.B) {
 	}
 }
 
-// BenchmarkAsk measures the full Ask path with tracing off and on. The
-// untraced run is the zero-overhead contract of the observability layer:
-// it must stay within noise of the pre-instrumentation baseline, since
-// disabled tracing threads only nil spans (no-ops) through the pipeline.
-// The sampled run adds a tail-based retention policy on top of tracing:
-// the trace is still built, but the policy drops most of them after
-// completion, so the only extra work per ask is the retention decision
-// itself. BENCH_obs.json gates sampled within 5% of traced via a
-// benchguard ratio entry. Headline numbers live in BENCH_obs.json.
+// BenchmarkAsk measures the full Ask path untraced (Ask) and traced
+// (AskTraced). The untraced run is the zero-overhead contract of the
+// observability layer: it must stay within noise of the
+// pre-instrumentation baseline, since it threads only nil spans (no-ops)
+// through the pipeline. The sampled run adds the server's tail-sampling
+// verdict to each traced ask — one obs.Sampler.Decide under the default
+// policy — so its only extra work is the retention decision itself.
+// BENCH_obs.json gates sampled within 5% of traced via a benchguard
+// ratio entry. Headline numbers live in BENCH_obs.json.
 func BenchmarkAsk(b *testing.B) {
 	run := func(b *testing.B, traced, sampled bool) {
 		e := New()
 		if err := e.LoadXMLString("bib.xml", bibXML); err != nil {
 			b.Fatal(err)
 		}
+		ask := e.Ask
 		if traced {
-			e.EnableTracing(4)
+			ask = e.AskTraced
 		}
+		var sampler *obs.Sampler
 		if sampled {
-			e.SetTracePolicy(&TracePolicy{
-				KeepErrors:   true,
-				KeepRejected: true,
-				MinLatency:   time.Hour,
-				SampleEvery:  20,
-			})
+			sampler = obs.NewSampler(obs.DefaultSamplerConfig())
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ans, err := e.Ask("", `Find all books published by "Addison-Wesley" after 1991.`)
+			ans, err := ask("", `Find all books published by "Addison-Wesley" after 1991.`)
 			if err != nil || !ans.Accepted {
 				b.Fatalf("ask: %v %v", err, ans)
+			}
+			if sampler != nil {
+				sampler.Decide(ans.Trace.Root.Duration, false, "")
 			}
 		}
 	}

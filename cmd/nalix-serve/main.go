@@ -1,27 +1,34 @@
 // Command nalix-serve runs the NaLIX engine as an HTTP service: the
 // four pipeline operations as POST endpoints (/ask, /translate, /query,
 // /keyword) over a pool of engine sessions, plus the operational
-// surface (/healthz, /metrics, /slo, /debug/slow, /debug/traces,
-// /debug/traces/<id>, /debug/profiles, /debug/pprof, /debug/vars).
-// Every request gets a request ID, a pipeline trace, and one JSONL
-// access-log record with its tail-sampling verdict.
+// surface (/healthz, /metrics, /slo, /debug/cache, /debug/slow,
+// /debug/traces, /debug/traces/<id>, /debug/profiles, /debug/pprof,
+// /debug/vars). Every request gets a request ID, a pipeline trace, and
+// one JSONL access-log record with its tail-sampling verdict.
 //
 // Usage:
 //
 //	nalix-serve [-addr :8080] [-doc file.xml | -corpus movies|library|bib|dblp]
-//	            [-scale 1] [-shards 1]
-//	            [-sessions N] [-slow 500ms] [-slow-stage 250ms] [-access-log path]
-//	            [-sample] [-sample-every 20] [-sample-threshold 0]
+//	            [-scale 1] [-shards 1] [-nocache]
+//	            [-sessions N] [-slow 500ms] [-slow-stage 250ms] [-slow-cap 64]
+//	            [-traces 256] [-access-log path] [-drain 10s]
+//	            [-sample] [-sample-every 20] [-sample-threshold 0] [-sample-budget 16]
 //	            [-slo ask:99.9:250ms] [-slo query:99:100ms]
-//	            [-profile-dir /var/tmp/nalix-profiles]
+//	            [-profile-dir /var/tmp/nalix-profiles] [-profile-cpu 2s]
+//	            [-profile-cap 8] [-profile-cooldown 1m]
 //
 // The access log goes to stderr by default; "-access-log path" appends
-// to a file instead. -slo is repeatable, one objective per flag, in the
-// form name:availability[:latency]. -sample enables tail-based trace
-// sampling (keep errors, feedback, the latency tail, and a budgeted
-// 1-in-N trickle); without it every trace is retained. -profile-dir
-// enables spike-triggered profiling capture. SIGINT/SIGTERM drain
-// in-flight requests before exit.
+// to a file instead. -slow-cap and -traces size the slow-query and
+// kept-trace rings; -nocache turns off the layered query cache. -slo is
+// repeatable, one objective per flag, in the form
+// name:availability[:latency]. -sample enables tail-based trace
+// sampling (keep errors, feedback, the latency tail, and a 1-in-N
+// trickle of at most -sample-budget traces per second); without it
+// every trace is retained. -profile-dir enables spike-triggered
+// profiling capture: each capture records a -profile-cpu CPU profile,
+// the ring keeps -profile-cap captures, and captures are at least
+// -profile-cooldown apart. SIGINT/SIGTERM drain in-flight requests for
+// up to -drain before exit.
 package main
 
 import (

@@ -11,6 +11,7 @@
 // questions from stdin, one per line. -explain prints each query's
 // pipeline span tree (parse, classify, validate, translate, plan, eval,
 // mqf, serialize) with timings; -trace prints the same trace as JSON.
+// Both print a failed query's trace too, tagged with its error.
 // -json emits one machine-readable JSON object per query — result,
 // feedback code, trace summary — in the same schema the nalix-serve
 // HTTP endpoints return, so scripts consume one shape either way.
@@ -19,6 +20,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -53,9 +55,6 @@ func main() {
 	flag.Parse()
 
 	eng := nalix.New()
-	if d.explain || d.trace {
-		eng.EnableTracing(0)
-	}
 	if !*nocache {
 		eng.EnableCache(nalix.CacheConfig{})
 	}
@@ -122,29 +121,41 @@ func load(eng *nalix.Engine, docPath, corpus string) (string, error) {
 	return doc.Name, eng.LoadXMLString(doc.Name, sb.String())
 }
 
+// answer answers one query, through the *Traced engine methods when
+// -explain or -trace asks for the trace and the plain ones otherwise.
 func answer(eng *nalix.Engine, q string, d display) {
 	if d.json {
 		answerJSON(eng, q, d)
 		return
 	}
+	traced := d.explain || d.trace
 	if d.keyword {
-		hits, err := eng.KeywordSearch("", q)
+		var hits []string
+		var tr *nalix.Trace
+		var err error
+		if traced {
+			hits, tr, err = eng.KeywordSearchTraced("", q)
+		} else {
+			hits, err = eng.KeywordSearch("", q)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "keyword search:", err)
+			printErrorTrace(err, d)
 			return
 		}
 		fmt.Printf("%d results\n", len(hits))
 		printCapped(hits)
-		// KeywordSearch returns bare results; its trace is the newest
-		// retained one.
-		if traces := eng.RecentTraces(); len(traces) > 0 {
-			printTrace(traces[len(traces)-1], d)
-		}
+		printTrace(tr, d)
 		return
 	}
-	ans, err := eng.Ask("", q)
+	ask := eng.Ask
+	if traced {
+		ask = eng.AskTraced
+	}
+	ans, err := ask("", q)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
+		printErrorTrace(err, d)
 		return
 	}
 	if d.tree {
@@ -177,9 +188,8 @@ func answer(eng *nalix.Engine, q string, d display) {
 }
 
 // answerJSON answers one query in the nalix-serve response schema: one
-// JSON object with the result, feedback code, and trace summary. The
-// per-call traced engine variants are used so the summary is present
-// without enabling engine-wide tracing.
+// JSON object with the result, feedback code, and trace summary, so it
+// always uses the *Traced engine methods.
 func answerJSON(eng *nalix.Engine, q string, d display) {
 	var resp *server.Response
 	if d.keyword {
@@ -203,6 +213,15 @@ func answerJSON(eng *nalix.Engine, q string, d display) {
 		return
 	}
 	fmt.Println(string(b))
+}
+
+// printErrorTrace prints the trace a failed *Traced call carries in its
+// *nalix.TraceError (nothing for a bare error).
+func printErrorTrace(err error, d display) {
+	var te *nalix.TraceError
+	if errors.As(err, &te) {
+		printTrace(te.Trace, d)
+	}
 }
 
 // printTrace renders a query's trace as requested: an indented span tree

@@ -220,3 +220,36 @@ func TestCacheInvalidationOnSynonyms(t *testing.T) {
 		t.Fatalf("values = %v", after.Values)
 	}
 }
+
+// TestResultCacheTraceAttr: on a cached engine a traced ask tags its
+// root with result_cache. The first ask misses and runs eval; the
+// repeat is a hit that skips eval and carries a trace of its own, not
+// the first call's (the stored answer drops its trace).
+func TestResultCacheTraceAttr(t *testing.T) {
+	e := newCachedEngine(t, "bib.xml", bibXML)
+	hasEval := func(tr *Trace) bool {
+		for _, c := range tr.Root.Children {
+			if c.Name == "eval" {
+				return true
+			}
+		}
+		return false
+	}
+	first, err := e.AskTraced("", acceptanceQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached || rootAttr(first.Trace, "result_cache") != "miss" || !hasEval(first.Trace) {
+		t.Fatalf("first ask: Cached=%v, want a result_cache=miss trace with eval:\n%s", first.Cached, first.Trace.Render())
+	}
+	repeat, err := e.AskTraced("", acceptanceQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !repeat.Cached || rootAttr(repeat.Trace, "result_cache") != "hit" || hasEval(repeat.Trace) {
+		t.Fatalf("repeat ask: Cached=%v, want a result_cache=hit trace without eval:\n%s", repeat.Cached, repeat.Trace.Render())
+	}
+	if repeat.Trace == first.Trace || rootAttr(first.Trace, "result_cache") != "miss" {
+		t.Errorf("the hit shares or rewrote the first call's trace:\n%s", first.Trace.Render())
+	}
+}

@@ -11,8 +11,10 @@
 //
 // A Trace (and the spans hanging off it) belongs to the goroutine that
 // runs the traced call; it needs no internal locking. The pieces shared
-// between goroutines — the Recorder ring buffer and the Registry — are
-// safe for concurrent use.
+// between goroutines — the Registry and the tail Sampler — are safe for
+// concurrent use. The package keeps no traces: a finished trace goes
+// back to whoever started it, and the HTTP server (internal/server) is
+// the one component that samples and retains them.
 //
 // This package is runtime telemetry. It is distinct from
 // internal/metrics, which holds the paper's retrieval-quality metrics
@@ -24,7 +26,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -291,7 +292,7 @@ func (t *Trace) Render() string {
 		return ""
 	}
 	var sb strings.Builder
-	renderSpan(&sb, t.root, 0, true)
+	renderSpan(&sb, t.root, 0)
 	for _, c := range t.Counters() {
 		fmt.Fprintf(&sb, "# %s = %d\n", c.Name, c.Value)
 	}
@@ -301,96 +302,18 @@ func (t *Trace) Render() string {
 	return sb.String()
 }
 
-// Structure returns the span tree with names, attributes, and per-trace
-// counters but without timings: the deterministic shape of a run, used
-// by the determinism tests.
-func (t *Trace) Structure() string {
-	if t == nil {
-		return ""
-	}
-	var sb strings.Builder
-	renderSpan(&sb, t.root, 0, false)
-	for _, c := range t.Counters() {
-		fmt.Fprintf(&sb, "# %s = %d\n", c.Name, c.Value)
-	}
-	return sb.String()
-}
-
-func renderSpan(sb *strings.Builder, s *Span, depth int, withTime bool) {
+func renderSpan(sb *strings.Builder, s *Span, depth int) {
 	for i := 0; i < depth; i++ {
 		sb.WriteString("  ")
 	}
 	sb.WriteString(s.name)
-	if withTime {
-		sb.WriteString(" ")
-		sb.WriteString(s.dur.String())
-	}
+	sb.WriteString(" ")
+	sb.WriteString(s.dur.String())
 	for _, a := range s.attrs {
 		fmt.Fprintf(sb, " %s=%s", a.Key, a.Value)
 	}
 	sb.WriteString("\n")
 	for _, c := range s.children {
-		renderSpan(sb, c, depth+1, withTime)
+		renderSpan(sb, c, depth+1)
 	}
-}
-
-// Recorder is a fixed-capacity ring buffer of finished traces, safe for
-// concurrent use. When full, the oldest trace is overwritten.
-type Recorder struct {
-	mu    sync.Mutex
-	buf   []*Trace
-	next  int
-	total int64
-}
-
-// NewRecorder returns a recorder keeping the last capacity traces (a
-// non-positive capacity keeps none).
-func NewRecorder(capacity int) *Recorder {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Recorder{buf: make([]*Trace, capacity)}
-}
-
-// Record adds a trace to the ring, evicting the oldest when full.
-func (r *Recorder) Record(t *Trace) {
-	if r == nil || t == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
-		return
-	}
-	r.buf[r.next] = t
-	r.next = (r.next + 1) % len(r.buf)
-	r.total++
-}
-
-// Traces returns the recorded traces, oldest first.
-func (r *Recorder) Traces() []*Trace {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.buf)
-	var out []*Trace
-	for i := 0; i < n; i++ {
-		if t := r.buf[(r.next+i)%n]; t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Total reports how many traces have ever been recorded (including ones
-// the ring has since evicted).
-func (r *Recorder) Total() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }

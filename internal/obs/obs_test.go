@@ -34,17 +34,14 @@ func TestSpanTree(t *testing.T) {
 	if len(cs) != 1 || cs[0].Name != "mqf_pairs_checked" || cs[0].Value != 12 {
 		t.Fatalf("counters = %+v", cs)
 	}
-	s := tr.Structure()
-	for _, want := range []string{"ask", "  parse words=9", "    plan clauses=3", "# mqf_pairs_checked = 12"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Structure missing %q:\n%s", want, s)
+	r := tr.Render()
+	for _, want := range []string{"ask ", " words=9\n", "    plan 1.5µs clauses=3\n", "# mqf_pairs_checked = 12"} {
+		if !strings.Contains(r, want) {
+			t.Errorf("Render missing %q:\n%s", want, r)
 		}
 	}
-	if strings.Contains(s, "ns") && strings.Contains(s, "µs") {
-		t.Errorf("Structure should not contain timings:\n%s", s)
-	}
-	if r := tr.Render(); !strings.Contains(r, "plan 1.5µs") {
-		t.Errorf("Render missing timing:\n%s", r)
+	if !strings.HasPrefix(strings.Split(r, "\n")[1], "  parse ") {
+		t.Errorf("Render does not nest parse under the root:\n%s", r)
 	}
 }
 
@@ -58,7 +55,7 @@ func TestNilSafety(t *testing.T) {
 	if tr.Root() != nil || tr.Counters() != nil || tr.Dropped() != 0 {
 		t.Fatal("nil trace not inert")
 	}
-	if tr.Render() != "" || tr.Structure() != "" {
+	if tr.Render() != "" {
 		t.Fatal("nil trace renders content")
 	}
 	tr.ObserveInto(Default)
@@ -192,49 +189,6 @@ func TestSpanBound(t *testing.T) {
 	}
 	if tr.Dropped() != 11 { // root counts toward the bound
 		t.Fatalf("dropped = %d, want 11", tr.Dropped())
-	}
-}
-
-func TestRecorderRing(t *testing.T) {
-	r := NewRecorder(3)
-	var ids []*Trace
-	for i := 0; i < 5; i++ {
-		tr := NewTrace("t")
-		ids = append(ids, tr)
-		r.Record(tr)
-	}
-	got := r.Traces()
-	if len(got) != 3 {
-		t.Fatalf("len = %d, want 3", len(got))
-	}
-	for i, tr := range got {
-		if tr != ids[i+2] {
-			t.Fatalf("ring order wrong at %d", i)
-		}
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total = %d, want 5", r.Total())
-	}
-}
-
-func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(8)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				tr := NewTrace("t")
-				tr.Finish()
-				r.Record(tr)
-				r.Traces()
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Total() != 800 {
-		t.Fatalf("total = %d, want 800", r.Total())
 	}
 }
 

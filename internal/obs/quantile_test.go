@@ -91,11 +91,11 @@ func TestQuantileEmptyAndSingle(t *testing.T) {
 // snapshot next to the bucket it belongs to.
 func TestExemplars(t *testing.T) {
 	r := NewRegistry()
-	r.ObserveExemplar("lat", 100, "req-a")   // bucket [64,128)
-	r.ObserveExemplar("lat", 120, "req-b")   // same bucket: latest wins
-	r.ObserveExemplar("lat", 5000, "req-c")  // bucket [4096,8192)
-	r.ObserveExemplar("lat", 3, "")          // no trace ID: counted, no exemplar
-	r.Observe("lat", 7)                      // plain observe coexists
+	r.ObserveExemplar("lat", 100, "req-a")  // bucket [64,128)
+	r.ObserveExemplar("lat", 120, "req-b")  // same bucket: latest wins
+	r.ObserveExemplar("lat", 5000, "req-c") // bucket [4096,8192)
+	r.ObserveExemplar("lat", 3, "")         // no trace ID: counted, no exemplar
+	r.Observe("lat", 7)                     // plain observe coexists
 	h, ok := r.Snapshot().Histogram("lat")
 	if !ok {
 		t.Fatal("histogram missing")

@@ -241,14 +241,6 @@ func (s *Sampler) takeToken(t time.Time) bool {
 	return true
 }
 
-// Threshold returns the currently effective adaptive latency threshold
-// (0 while the adaptive rule has not engaged).
-func (s *Sampler) Threshold() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return time.Duration(s.adaptiveThr)
-}
-
 // Stats returns a snapshot of the sampler's decision counts.
 func (s *Sampler) Stats() SamplerStats {
 	s.mu.Lock()

@@ -127,13 +127,13 @@ func TestSamplerAdaptiveThreshold(t *testing.T) {
 			t.Fatalf("kept %+v before the adaptive rule engaged", v)
 		}
 	}
-	if s.Threshold() != 0 {
-		t.Fatalf("threshold engaged mid-window: %v", s.Threshold())
+	if thr := s.Stats().ThresholdNs; thr != 0 {
+		t.Fatalf("threshold engaged mid-window: %v", time.Duration(thr))
 	}
 	// Rotate: the completed window sets the threshold at 2× its p95.
 	clk.Advance(11 * time.Second)
 	s.Decide(time.Millisecond, false, "")
-	thr := s.Threshold()
+	thr := time.Duration(s.Stats().ThresholdNs)
 	if thr <= 0 {
 		t.Fatal("adaptive threshold did not engage after a full window")
 	}

@@ -2,9 +2,12 @@
 // pipeline operations (ask, translate, query, keyword) as POST
 // endpoints over a pool of engine sessions, with request-level
 // observability — a generated request ID per request, a per-request
-// pipeline trace, a structured JSONL access log, a bounded slow-query
-// ring, and operational endpoints (/healthz, /metrics, /debug/slow,
-// /debug/traces/<id>, /debug/pprof, /debug/vars).
+// pipeline trace (a failed call's included: the engine hands it back in
+// a *nalix.TraceError), tail sampling and the one trace store, a
+// structured JSONL access log, a bounded slow-query ring, and
+// operational endpoints (/healthz, /metrics, /slo, /debug/cache,
+// /debug/slow, /debug/traces, /debug/traces/<id>, /debug/profiles,
+// /debug/pprof, /debug/vars).
 //
 // Engines obey the configure-then-query contract (see nalix.Engine):
 // the caller configures every session before handing it to New, and the
@@ -18,6 +21,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -45,6 +49,14 @@ const (
 	// healthTimeout bounds how long /healthz waits for a free session
 	// before declaring the engine unresponsive.
 	healthTimeout = 2 * time.Second
+
+	// readHeaderTimeout bounds how long a connection may take to send
+	// its request headers, so a client that never finishes them cannot
+	// hold a goroutine and a socket indefinitely.
+	readHeaderTimeout = 10 * time.Second
+
+	// idleTimeout closes keep-alive connections idle this long.
+	idleTimeout = 2 * time.Minute
 )
 
 // Config assembles a Server.
@@ -245,7 +257,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
-	s.http = &http.Server{Handler: s.mux}
+	s.http = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s, nil
 }
 
@@ -411,7 +427,21 @@ func (s *Server) api(endpoint string, run func(*nalix.Engine, *Request) (*Respon
 			s.reg.Observe("http_"+endpoint+"_ns", float64(dur.Nanoseconds()))
 		}
 
-		entry := &traceEntry{
+		var sum *TraceSummary
+		var errText string
+		if err != nil {
+			// A failed call hands its trace back inside the error.
+			var te *nalix.TraceError
+			if errors.As(err, &te) {
+				tr = te.Trace
+			}
+			sum = SummarizeTrace(tr)
+			errText = err.Error()
+		} else {
+			sum = resp.Trace
+		}
+		slow, slowStage, slowStageNs := s.slowVerdict(dur, sum)
+		s.store.add(&traceEntry{
 			ID:           id,
 			Endpoint:     endpoint,
 			Document:     req.Document,
@@ -420,14 +450,15 @@ func (s *Server) api(endpoint string, run func(*nalix.Engine, *Request) (*Respon
 			Duration:     dur,
 			Trace:        tr,
 			SampleReason: verdict.Reason,
+			SlowStage:    slowStage,
+			SlowStageNs:  slowStageNs,
+			Error:        errText,
+		}, verdict.Keep, slow)
+		rec.Slow = slow
+		if sum != nil {
+			rec.Stages = sum.Stages
 		}
 		if err != nil {
-			// The engine returns no trace handle on errors; the entry
-			// still records the failure so the retained set explains it.
-			entry.Error = err.Error()
-			slow, _, _ := s.slowVerdict(dur, nil)
-			rec.Slow = slow
-			s.store.add(entry, verdict.Keep, slow)
 			s.reg.Add(obs.Labeled("http_errors", "code", "engine"), 1)
 			s.fail(w, rec, http.StatusUnprocessableEntity, id, endpoint, err)
 			return
@@ -438,20 +469,11 @@ func (s *Server) api(endpoint string, run func(*nalix.Engine, *Request) (*Respon
 			s.reg.Add(obs.Labeled("http_cache", "result", resp.Cache), 1)
 		}
 
-		slow, slowStage, slowStageNs := s.slowVerdict(dur, resp.Trace)
-		entry.SlowStage = slowStage
-		entry.SlowStageNs = slowStageNs
-		s.store.add(entry, verdict.Keep, slow)
-
 		rec.Status = http.StatusOK
 		rec.Accepted = resp.Accepted
 		rec.FeedbackCode = resp.FeedbackCode
 		rec.Results = resp.Count
 		rec.Cache = resp.Cache
-		rec.Slow = slow
-		if resp.Trace != nil {
-			rec.Stages = resp.Trace.Stages
-		}
 		if !resp.Accepted && resp.FeedbackCode != "" {
 			s.reg.Add(obs.Labeled("http_errors", "code", resp.FeedbackCode), 1)
 		}

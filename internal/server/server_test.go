@@ -397,8 +397,42 @@ func TestRejectedQuestionObservability(t *testing.T) {
 	}
 }
 
-// TestTransportErrors: malformed bodies and unknown documents are
-// observable failures — status, error counter, and an access record.
+// failedTrace fetches /debug/traces/{id} for a failed request and
+// asserts it serves the engine's span tree, its root tagged with the
+// request's error.
+func failedTrace(t *testing.T, base, id string) *nalix.Trace {
+	t.Helper()
+	status, body := getBody(t, base+"/debug/traces/"+id)
+	if status != http.StatusOK {
+		t.Fatalf("/debug/traces/%s status = %d: %s", id, status, body)
+	}
+	var out struct {
+		Error    string       `json:"error"`
+		Trace    *nalix.Trace `json:"trace"`
+		Rendered string       `json:"rendered"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("trace response is not valid JSON: %v", err)
+	}
+	if out.Error == "" || out.Trace == nil || out.Trace.Root == nil {
+		t.Fatalf("failed request %s: error %q, trace %+v: want both", id, out.Error, out.Trace)
+	}
+	var tagged string
+	for _, a := range out.Trace.Root.Attrs {
+		if a.Key == "error" {
+			tagged = a.Value
+		}
+	}
+	if tagged != out.Error || !strings.Contains(out.Rendered, "error=") {
+		t.Errorf("trace root error = %q, want %q:\n%s", tagged, out.Error, out.Rendered)
+	}
+	return out.Trace
+}
+
+// TestTransportErrors: malformed bodies, unknown documents and malformed
+// queries are observable failures — status, error counter, an access
+// record, and for engine failures the error-tagged trace under the
+// request ID.
 func TestTransportErrors(t *testing.T) {
 	_, ts, lb, reg := newTestServer(t, 1, -1)
 
@@ -427,16 +461,49 @@ func TestTransportErrors(t *testing.T) {
 	if !strings.Contains(out2.Error, "nope.xml") {
 		t.Fatalf("error = %q, want document name", out2.Error)
 	}
+	if tr := failedTrace(t, ts.URL, out2.RequestID); tr.Root.Name != "ask" {
+		t.Errorf("failed ask trace root = %q, want ask", tr.Root.Name)
+	}
+
+	// A malformed query fails after its parse stage: the trace and the
+	// access record both show that stage.
+	httpResp, out3 := postJSON(t, ts.URL+"/query", Request{Query: "for $x in ((("})
+	if httpResp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("malformed query status = %d, want 422", httpResp.StatusCode)
+	}
+	if tr := failedTrace(t, ts.URL, out3.RequestID); tr.Root.Name != "query" {
+		t.Errorf("failed query trace root = %q, want query", tr.Root.Name)
+	}
 
 	snap := reg.Snapshot()
 	if v := snap.Counter(obs.Labeled("http_errors", "code", "bad-request")); v != 1 {
 		t.Errorf("http_errors{code=bad-request} = %d, want 1", v)
 	}
-	if v := snap.Counter(obs.Labeled("http_errors", "code", "engine")); v != 1 {
-		t.Errorf("http_errors{code=engine} = %d, want 1", v)
+	if v := snap.Counter(obs.Labeled("http_errors", "code", "engine")); v != 2 {
+		t.Errorf("http_errors{code=engine} = %d, want 2", v)
 	}
-	if lines := lb.Lines(); len(lines) != 2 {
-		t.Errorf("access log lines = %d, want 2 (errors are logged too)", len(lines))
+	lines := lb.Lines()
+	if len(lines) != 3 {
+		t.Fatalf("access log lines = %d, want 3 (errors are logged too)", len(lines))
+	}
+	var rec AccessRecord
+	if err := json.Unmarshal([]byte(lines[2]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Error == "" || len(rec.Stages) == 0 || rec.Stages[0].Stage != "parse" {
+		t.Errorf("failed query access record = %+v, want its error and parse stage", rec)
+	}
+}
+
+// TestServerTimeouts: the server bounds how long a connection may take
+// to send its headers and how long it may sit idle.
+func TestServerTimeouts(t *testing.T) {
+	srv, _, _, _ := newTestServer(t, 1, -1)
+	if got := srv.http.ReadHeaderTimeout; got != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", got)
+	}
+	if got := srv.http.IdleTimeout; got != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", got)
 	}
 }
 

@@ -24,8 +24,8 @@ type traceEntry struct {
 	// the dimension the slow-query ring keys on alongside wall time.
 	SlowStage   string
 	SlowStageNs int64
-	// Error carries the failure of an error-path request (whose Trace is
-	// nil — the engine returns no trace handle on errors).
+	// Error carries the failure of an error-path request; its Trace is
+	// the one the engine handed back in a *nalix.TraceError.
 	Error string
 }
 

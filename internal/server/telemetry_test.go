@@ -145,8 +145,13 @@ func TestTailSamplingConcurrentExact(t *testing.T) {
 		t.Errorf("sampler stats = %+v", list.Sampler)
 	}
 
-	// Every kept entry's full trace (or error record) resolves by ID.
+	// Every kept entry's full trace resolves by ID; an error-kept entry
+	// serves the failed call's error-tagged trace.
 	for _, e := range list.Entries {
+		if e.SampleReason == "error" {
+			failedTrace(t, ts.URL, e.RequestID)
+			continue
+		}
 		status, _ := getBody(t, ts.URL+"/debug/traces/"+e.RequestID)
 		if status != 200 {
 			t.Errorf("kept trace %s not retrievable: %d", e.RequestID, status)
@@ -306,8 +311,8 @@ func TestSlowVerdict(t *testing.T) {
 		slow  bool
 		stage string
 	}{
-		{600 * time.Millisecond, sum(int64(100 * time.Millisecond)), true, "s0"},  // wall rule
-		{450 * time.Millisecond, sum(int64(400 * time.Millisecond)), true, "s0"},  // stage rule under wall
+		{600 * time.Millisecond, sum(int64(100 * time.Millisecond)), true, "s0"}, // wall rule
+		{450 * time.Millisecond, sum(int64(400 * time.Millisecond)), true, "s0"}, // stage rule under wall
 		{450 * time.Millisecond, sum(int64(100*time.Millisecond), int64(300*time.Millisecond)), true, "s1"},
 		{100 * time.Millisecond, sum(int64(90 * time.Millisecond)), false, "s0"}, // neither
 		{100 * time.Millisecond, nil, false, ""},                                 // no trace

@@ -29,7 +29,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"nalix/internal/cache"
 	"nalix/internal/core"
@@ -44,11 +43,19 @@ import (
 var queriesTotal = obs.NewCounter("queries_total")
 
 // Engine is a NaLIX instance: a set of loaded XML documents plus the
-// translation pipeline. Configure it first — New, LoadXML, LoadXMLString,
-// AddSynonyms and EnableTracing are not synchronized — and then query:
-// once configuration is done, Ask, Translate, Query and KeywordSearch are
-// safe for concurrent use from multiple goroutines, and their XQuery
+// translation pipeline. Configure it first — LoadXML, LoadXMLString,
+// LoadDocument, AddSynonyms and the Set/Enable methods are not
+// synchronized — and then query: once configuration is done, Ask,
+// Translate, Query and KeywordSearch and their *Traced variants are safe
+// for concurrent use from multiple goroutines, and their XQuery
 // evaluations run in parallel.
+//
+// Tracing is chosen per call. The plain methods thread nil spans, which
+// record and allocate nothing. Each *Traced method traces its one call
+// and hands the finished trace back to its caller: on Answer.Trace, as
+// KeywordSearchTraced's second result, or inside the *TraceError of a
+// failed call. The engine keeps no traces; sampling and retaining them
+// is the caller's business (internal/server does both).
 type Engine struct {
 	xq          *xquery.Engine
 	ont         *ontology.Ontology
@@ -59,10 +66,6 @@ type Engine struct {
 	// shards is the number of Pre windows each evaluation is split into
 	// (see SetShards); 0 or 1 evaluates whole.
 	shards int
-
-	// rec retains finished traces when tracing is enabled; nil keeps
-	// every query on the untraced, allocation-free path.
-	rec *obs.Recorder
 
 	// reg receives per-stage latency histograms from finished traces;
 	// nil means the process-wide obs.Default registry.
@@ -78,89 +81,6 @@ type Engine struct {
 	// corpusGen counts document mutations; result-cache keys embed it
 	// so no entry can outlive the corpus it was computed against.
 	corpusGen atomic.Int64
-
-	// policy filters which finished traces the recorder retains; nil
-	// keeps every trace (see SetTracePolicy). policySeen counts the
-	// traces no keep-rule claimed, for the deterministic 1-in-N trickle.
-	policy     *TracePolicy
-	policySeen atomic.Int64
-}
-
-// TracePolicy is a tail-based retention policy for the engine-global
-// trace ring: the keep/drop decision is made after a call finishes,
-// when its outcome is known, so the interesting traces survive
-// arbitrary traffic volume instead of being evicted by the flood. The
-// zero value keeps nothing but what the rules match; a nil policy (the
-// default) keeps every trace, preserving the historical behaviour.
-type TracePolicy struct {
-	// KeepErrors retains every trace whose call returned an error.
-	KeepErrors bool
-	// KeepRejected retains every trace whose question was rejected with
-	// feedback — the reformulation loop is debugged from exactly these.
-	KeepRejected bool
-	// MinLatency retains every trace at least this slow (0 disables).
-	MinLatency time.Duration
-	// SampleEvery retains 1 in N of the traces no other rule kept
-	// (0 drops them all; 1 keeps everything).
-	SampleEvery int
-}
-
-// SetTracePolicy installs a tail-based retention policy for the traces
-// EnableTracing retains (nil restores keep-everything). Like
-// EnableTracing, this is configuration: call it before sharing the
-// engine between goroutines. Per-request traces on Answer.Trace are
-// unaffected — the policy governs only the engine-global ring behind
-// RecentTraces.
-func (e *Engine) SetTracePolicy(p *TracePolicy) {
-	e.policy = p
-}
-
-// shouldRetain applies the trace policy to one finished call.
-func (e *Engine) shouldRetain(tr *obs.Trace, failed, rejected bool) bool {
-	p := e.policy
-	if p == nil {
-		return true
-	}
-	switch {
-	case failed && p.KeepErrors:
-		return true
-	case rejected && p.KeepRejected:
-		return true
-	case p.MinLatency > 0 && tr.Root().Duration() >= p.MinLatency:
-		return true
-	}
-	if p.SampleEvery <= 0 {
-		return false
-	}
-	return (e.policySeen.Add(1)-1)%int64(p.SampleEvery) == 0
-}
-
-// DefaultTraceCapacity is how many finished traces the engine retains
-// when EnableTracing is called with a non-positive capacity.
-const DefaultTraceCapacity = 16
-
-// EnableTracing turns on pipeline tracing: every subsequent Ask,
-// Translate, Query and KeywordSearch call records a span tree of its
-// stages, attaches a snapshot to Answer.Trace, retains the last capacity
-// finished traces for RecentTraces (DefaultTraceCapacity when capacity
-// is not positive), and feeds the per-stage latency histograms of the
-// process-wide registry. Enabling tracing is configuration: do it before
-// sharing the engine between goroutines.
-func (e *Engine) EnableTracing(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	e.rec = obs.NewRecorder(capacity)
-}
-
-// RecentTraces returns snapshots of the retained traces, oldest first
-// (nil when tracing is not enabled or nothing ran yet).
-func (e *Engine) RecentTraces() []*Trace {
-	var out []*Trace
-	for _, tr := range e.rec.Traces() {
-		out = append(out, convertTrace(tr))
-	}
-	return out
 }
 
 // SetMetricsRegistry directs the per-stage latency histograms of traced
@@ -180,28 +100,15 @@ func (e *Engine) registry() *obs.Registry {
 	return obs.Default
 }
 
-// newTrace starts a trace when tracing is enabled, nil otherwise. A nil
-// trace has a nil root span, which keeps every downstream recording call
-// a no-op.
-func (e *Engine) newTrace(name string) *obs.Trace {
-	if e.rec == nil {
-		return nil
-	}
-	return obs.NewTrace(name)
-}
-
 // finishTrace closes a trace, feeds the stage-latency histograms,
-// retains it, attaches the public snapshot to the answer, and returns
-// that snapshot (nil on a nil trace).
+// attaches the public snapshot to the answer, and returns that snapshot
+// (nil on a nil trace).
 func (e *Engine) finishTrace(tr *obs.Trace, ans *Answer) *Trace {
 	if tr == nil {
 		return nil
 	}
 	tr.Finish()
 	tr.ObserveInto(e.registry())
-	if e.shouldRetain(tr, false, ans != nil && !ans.Accepted) {
-		e.rec.Record(tr)
-	}
 	snap := convertTrace(tr)
 	if ans != nil {
 		ans.Trace = snap
@@ -209,20 +116,16 @@ func (e *Engine) finishTrace(tr *obs.Trace, ans *Answer) *Trace {
 	return snap
 }
 
-// failTrace closes a trace on an error path: the error is recorded as a
-// root attribute and the trace is finished and retained like any other,
-// so failed calls remain inspectable in RecentTraces and in per-request
-// traces instead of vanishing.
-func (e *Engine) failTrace(tr *obs.Trace, err error) {
+// failTrace closes a trace on an error path: the error is tagged on the
+// root and the finished trace goes back to the caller inside a
+// *TraceError, so a failed call stays inspectable. On an untraced call
+// (nil trace) it returns err unchanged.
+func (e *Engine) failTrace(tr *obs.Trace, err error) error {
 	if tr == nil {
-		return
+		return err
 	}
 	tr.Root().Set("error", err.Error())
-	tr.Finish()
-	tr.ObserveInto(e.registry())
-	if e.shouldRetain(tr, true, false) {
-		e.rec.Record(tr)
-	}
+	return &TraceError{Err: err, Trace: e.finishTrace(tr, nil)}
 }
 
 // New returns an empty engine with the built-in generic thesaurus.
@@ -392,8 +295,8 @@ type Answer struct {
 	// token or an implicit insertion.
 	Bindings []Binding
 	// Trace is the observability record of this call — the timed span
-	// tree of pipeline stages plus per-call counters. It is nil unless
-	// tracing was enabled with Engine.EnableTracing.
+	// tree of pipeline stages plus per-call counters. Only the *Traced
+	// methods set it; the plain ones leave it nil.
 	Trace *Trace
 	// Cached is true when the answer came from the result cache (or was
 	// coalesced onto another goroutine's in-flight run) instead of a
@@ -418,13 +321,12 @@ type Binding struct {
 // Translate runs the pipeline up to XQuery generation without evaluating
 // the query.
 func (e *Engine) Translate(docName, english string) (*Answer, error) {
-	return e.translateWith(docName, english, e.newTrace("translate"))
+	return e.translateWith(docName, english, nil)
 }
 
-// TranslateTraced is Translate with a per-call trace: the answer always
-// carries Answer.Trace, whether or not EnableTracing is on — the
-// request-scoped form servers use, one trace handle per request instead
-// of only the engine-global ring.
+// TranslateTraced is Translate with a per-call trace: the answer carries
+// Answer.Trace, and a failed call returns a *TraceError holding the
+// trace — the request-scoped form servers use.
 func (e *Engine) TranslateTraced(docName, english string) (*Answer, error) {
 	return e.translateWith(docName, english, obs.NewTrace("translate"))
 }
@@ -432,8 +334,7 @@ func (e *Engine) TranslateTraced(docName, english string) (*Answer, error) {
 func (e *Engine) translateWith(docName, english string, t *obs.Trace) (*Answer, error) {
 	_, ans, err := e.translate(docName, english, t.Root())
 	if err != nil {
-		e.failTrace(t, err)
-		return nil, err
+		return nil, e.failTrace(t, err)
 	}
 	e.finishTrace(t, ans)
 	return ans, nil
@@ -483,13 +384,12 @@ func convertFeedback(f core.Feedback, isErr bool) Feedback {
 // Ask translates an English sentence and, when accepted, evaluates the
 // resulting XQuery against the document.
 func (e *Engine) Ask(docName, english string) (*Answer, error) {
-	return e.askWith(docName, english, e.newTrace("ask"))
+	return e.askWith(docName, english, nil)
 }
 
-// AskTraced is Ask with a per-call trace: the answer always carries
-// Answer.Trace, whether or not EnableTracing is on — the request-scoped
-// form servers use, one trace handle per request instead of only the
-// engine-global ring.
+// AskTraced is Ask with a per-call trace: the answer carries
+// Answer.Trace, and a failed call returns a *TraceError holding the
+// trace — the request-scoped form servers use.
 func (e *Engine) AskTraced(docName, english string) (*Answer, error) {
 	return e.askWith(docName, english, obs.NewTrace("ask"))
 }
@@ -497,7 +397,11 @@ func (e *Engine) AskTraced(docName, english string) (*Answer, error) {
 func (e *Engine) askWith(docName, english string, t *obs.Trace) (*Answer, error) {
 	queriesTotal.Add(1)
 	if e.resultCache == nil {
-		return e.askUncached(docName, english, t)
+		ans, err := e.askUncached(docName, english, t)
+		if err != nil {
+			return nil, e.failTrace(t, err)
+		}
+		return ans, nil
 	}
 	key := e.resultKey(docName, english)
 	if stored, ok := e.resultCache.Get(key); ok {
@@ -517,23 +421,21 @@ func (e *Engine) askWith(docName, english string, t *obs.Trace) (*Answer, error)
 		e.resultCache.Put(key, &stored)
 		return a, nil
 	})
-	if shared {
-		if err != nil {
-			e.failTrace(t, err)
-			return nil, err
-		}
+	switch {
+	case err != nil:
+		return nil, e.failTrace(t, err)
+	case shared:
 		return e.serveCached(ans, t, "coalesced"), nil
 	}
-	return ans, err
+	return ans, nil
 }
 
 // askUncached runs the full ask pipeline: translate, evaluate,
-// serialize.
+// serialize. Its errors are bare; askWith finishes the trace on them.
 func (e *Engine) askUncached(docName, english string, t *obs.Trace) (*Answer, error) {
 	root := t.Root()
 	res, ans, err := e.translate(docName, english, root)
 	if err != nil {
-		e.failTrace(t, err)
 		return nil, err
 	}
 	if !ans.Accepted {
@@ -546,9 +448,7 @@ func (e *Engine) askUncached(docName, english string, t *obs.Trace) (*Answer, er
 	seq, err := e.evalTraced(res.Query, esp)
 	esp.End()
 	if err != nil {
-		err = fmt.Errorf("nalix: evaluating translation: %w", err)
-		e.failTrace(t, err)
-		return nil, err
+		return nil, fmt.Errorf("nalix: evaluating translation: %w", err)
 	}
 	ssp := root.Start("serialize")
 	fill(ans, seq)
@@ -574,11 +474,12 @@ func countRejected(ans *Answer) {
 // documents and returns the answer (Accepted is always true; ParseTree is
 // empty).
 func (e *Engine) Query(xq string) (*Answer, error) {
-	return e.queryWith(xq, e.newTrace("query"))
+	return e.queryWith(xq, nil)
 }
 
-// QueryTraced is Query with a per-call trace: the answer always carries
-// Answer.Trace, whether or not EnableTracing is on.
+// QueryTraced is Query with a per-call trace: the answer carries
+// Answer.Trace, and a failed call returns a *TraceError holding the
+// trace.
 func (e *Engine) QueryTraced(xq string) (*Answer, error) {
 	return e.queryWith(xq, obs.NewTrace("query"))
 }
@@ -589,15 +490,13 @@ func (e *Engine) queryWith(xq string, t *obs.Trace) (*Answer, error) {
 	expr, err := e.xq.Compile(xq)
 	psp.End()
 	if err != nil {
-		e.failTrace(t, err)
-		return nil, err
+		return nil, e.failTrace(t, err)
 	}
 	esp := root.Start("eval")
 	seq, err := e.evalTraced(expr, esp)
 	esp.End()
 	if err != nil {
-		e.failTrace(t, err)
-		return nil, err
+		return nil, e.failTrace(t, err)
 	}
 	ans := &Answer{Accepted: true, XQuery: xq}
 	ssp := root.Start("serialize")
@@ -624,12 +523,13 @@ func fill(ans *Answer, seq xquery.Sequence) {
 // returns the serialized meet results — the comparison system of the
 // paper's user study.
 func (e *Engine) KeywordSearch(docName, query string) ([]string, error) {
-	out, _, err := e.keywordWith(docName, query, e.newTrace("keyword"))
+	out, _, err := e.keywordWith(docName, query, nil)
 	return out, err
 }
 
 // KeywordSearchTraced is KeywordSearch with a per-call trace, returned
-// alongside the results (KeywordSearch has no Answer to attach it to).
+// alongside the results (KeywordSearch has no Answer to attach it to);
+// a failed call returns a *TraceError holding the trace.
 func (e *Engine) KeywordSearchTraced(docName, query string) ([]string, *Trace, error) {
 	return e.keywordWith(docName, query, obs.NewTrace("keyword"))
 }
@@ -640,9 +540,7 @@ func (e *Engine) keywordWith(docName, query string, t *obs.Trace) ([]string, *Tr
 	}
 	kw, ok := e.keywords[docName]
 	if !ok {
-		err := fmt.Errorf("nalix: document %q not loaded", docName)
-		e.failTrace(t, err)
-		return nil, nil, err
+		return nil, nil, e.failTrace(t, fmt.Errorf("nalix: document %q not loaded", docName))
 	}
 	var out []string
 	for _, hit := range kw.SearchTraced(query, t.Root()) {

@@ -12,8 +12,8 @@ import (
 // stage spans plus the call's deterministic counters (feedback codes,
 // mqf pairs checked, ontology expansions). It is an immutable snapshot
 // taken when the call finishes, safe to retain and to read from any
-// goroutine. Answer.Trace carries one when tracing is enabled; see
-// Engine.EnableTracing.
+// goroutine. The *Traced engine methods return one: on Answer.Trace, as
+// KeywordSearchTraced's second result, or inside a *TraceError.
 type Trace struct {
 	// Root is the top of the span tree ("ask", "translate", "query" or
 	// "keyword", after the engine method that produced it).
@@ -24,6 +24,19 @@ type Trace struct {
 	// the per-trace span bound.
 	Dropped int
 }
+
+// TraceError is the error a failed *Traced call returns: the cause plus
+// the call's finished trace, whose root carries an error= attribute.
+// Error reports the cause's message unchanged.
+type TraceError struct {
+	Err   error
+	Trace *Trace
+}
+
+func (e *TraceError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the cause.
+func (e *TraceError) Unwrap() error { return e.Err }
 
 // TraceSpan is one timed stage of a trace.
 type TraceSpan struct {

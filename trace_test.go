@@ -1,6 +1,7 @@
 package nalix
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -11,18 +12,11 @@ import (
 // reordering, mqf joins).
 const acceptanceQuery = `Find all books published by "Addison-Wesley" after 1991.`
 
-func newTracingEngine(t testing.TB) *Engine {
-	t.Helper()
-	e := newEngine(t)
-	e.EnableTracing(4)
-	return e
-}
-
 // TestTraceCoversPipelineStages: a traced Ask yields a span tree naming
 // every stage of the pipeline, with non-zero timings on the timed ones.
 func TestTraceCoversPipelineStages(t *testing.T) {
-	e := newTracingEngine(t)
-	ans, err := e.Ask("", acceptanceQuery)
+	e := newEngine(t)
+	ans, err := e.AskTraced("", acceptanceQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +24,7 @@ func TestTraceCoversPipelineStages(t *testing.T) {
 		t.Fatalf("rejected: %v", ans.Feedback)
 	}
 	if ans.Trace == nil {
-		t.Fatal("Answer.Trace is nil with tracing enabled")
+		t.Fatal("AskTraced returned no Answer.Trace")
 	}
 	r := ans.Trace.Render()
 	for _, stage := range []string{"ask", "parse", "classify", "validate",
@@ -60,12 +54,12 @@ func TestTraceCoversPipelineStages(t *testing.T) {
 // produce structurally identical traces — same span tree, same attribute
 // values, same counter deltas; only timings may differ.
 func TestTraceDeterministic(t *testing.T) {
-	e := newTracingEngine(t)
-	first, err := e.Ask("", acceptanceQuery)
+	e := newEngine(t)
+	first, err := e.AskTraced("", acceptanceQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.Ask("", acceptanceQuery)
+	second, err := e.AskTraced("", acceptanceQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +69,11 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 	// A rejected query's trace is deterministic too, and tags its
 	// feedback codes.
-	r1, err := e.Ask("", "Return every book as cheap as possible.")
+	r1, err := e.AskTraced("", "Return every book as cheap as possible.")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Ask("", "Return every book as cheap as possible.")
+	r2, err := e.AskTraced("", "Return every book as cheap as possible.")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +85,9 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceDisabled: without EnableTracing no trace is attached or
-// retained — the pipeline runs on the nil-span path (whose allocation
-// freedom is proven in internal/obs).
+// TestTraceDisabled: the plain methods attach no trace — the pipeline
+// runs on the nil-span path (whose allocation freedom is proven in
+// internal/obs).
 func TestTraceDisabled(t *testing.T) {
 	e := newEngine(t)
 	ans, err := e.Ask("", acceptanceQuery)
@@ -101,34 +95,82 @@ func TestTraceDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ans.Trace != nil {
-		t.Fatal("Answer.Trace set with tracing disabled")
-	}
-	if got := e.RecentTraces(); got != nil {
-		t.Fatalf("RecentTraces = %d traces with tracing disabled", len(got))
+		t.Fatal("plain Ask attached a trace")
 	}
 }
 
-// TestRecentTraces: the engine retains the last N traces, oldest first.
-func TestRecentTraces(t *testing.T) {
-	e := newEngine(t)
-	e.EnableTracing(2)
-	questions := []string{
-		"List all titles.",
-		"List all authors.",
-		"List all publishers.",
-	}
-	for _, q := range questions {
-		if _, err := e.Ask("", q); err != nil {
-			t.Fatal(err)
+// second and third keep only the error of a multi-value call, so a
+// table can hold each call inline.
+func second[A any](_ A, err error) error { return err }
+
+func third[A, B any](_ A, _ B, err error) error { return err }
+
+// rootAttr returns the value of one root-span attribute ("" if absent).
+func rootAttr(tr *Trace, key string) string {
+	for _, a := range tr.Root.Attrs {
+		if a.Key == key {
+			return a.Value
 		}
 	}
-	traces := e.RecentTraces()
-	if len(traces) != 2 {
-		t.Fatalf("retained %d traces, want 2", len(traces))
+	return ""
+}
+
+// traceFromError asserts that err is a *TraceError and returns its
+// trace, checking the error= tag on the root and that Unwrap yields a
+// cause with the same message.
+func traceFromError(t *testing.T, err error) *Trace {
+	t.Helper()
+	var te *TraceError
+	if !errors.As(err, &te) {
+		t.Fatalf("error %v (%T) is not a *TraceError", err, err)
 	}
-	for _, tr := range traces {
-		if tr.Root.Name != "ask" {
-			t.Errorf("root = %q, want ask", tr.Root.Name)
+	cause := errors.Unwrap(err)
+	if cause == nil || cause != te.Err {
+		t.Fatalf("Unwrap = %v, want the cause %v", cause, te.Err)
+	}
+	if errors.As(cause, new(*TraceError)) {
+		t.Fatalf("cause %v is itself a *TraceError", cause)
+	}
+	if err.Error() != cause.Error() {
+		t.Errorf("Error() = %q, want the cause's %q", err.Error(), cause.Error())
+	}
+	wellFormedTrace(t, te.Trace)
+	if got := rootAttr(te.Trace, "error"); got != cause.Error() {
+		t.Errorf("root error attr = %q, want %q", got, cause.Error())
+	}
+	return te.Trace
+}
+
+// TestTracedFailuresReturnTraceError: every *Traced method hands a
+// failed call's finished trace back inside a *TraceError, rooted at the
+// method's name and tagged with the error, while the plain method fails
+// with a bare error carrying the same message. The cached engine's ask
+// fails inside the result cache's singleflight.
+func TestTracedFailuresReturnTraceError(t *testing.T) {
+	e := newEngine(t)
+	cached := newCachedEngine(t, "bib.xml", bibXML)
+	cases := []struct {
+		root          string
+		traced, plain error
+	}{
+		{"ask", second(e.AskTraced("", "")), second(e.Ask("", ""))},
+		{"ask", second(cached.AskTraced("", "")), second(cached.Ask("", ""))},
+		{"translate", second(e.TranslateTraced("nope.xml", "List all titles.")),
+			second(e.Translate("nope.xml", "List all titles."))},
+		{"keyword", third(e.KeywordSearchTraced("nope.xml", "book")),
+			second(e.KeywordSearch("nope.xml", "book"))},
+		{"query", second(e.QueryTraced("for $x in (((")), second(e.Query("for $x in ((("))},
+	}
+	for _, c := range cases {
+		tr := traceFromError(t, c.traced)
+		if tr.Root.Name != c.root {
+			t.Errorf("root = %q, want %q", tr.Root.Name, c.root)
+		}
+		if c.plain == nil || c.plain.Error() != c.traced.Error() {
+			t.Errorf("%s: plain error %v, traced error %v: want the same message", c.root, c.plain, c.traced)
+		}
+		if errors.As(c.plain, new(*TraceError)) {
+			t.Errorf("%s: plain call returned a *TraceError", c.root)
 		}
 	}
 }
@@ -160,29 +202,19 @@ func wellFormedTrace(t *testing.T, tr *Trace) {
 }
 
 // TestTraceParseFailure: a question the NL parser cannot process at all
-// still produces a well-formed trace — finished, retained, and tagged
-// with the error — instead of vanishing with the failed call.
+// still produces a well-formed trace — finished, handed back in the
+// error, and tagged with it — instead of vanishing with the failed call.
 func TestTraceParseFailure(t *testing.T) {
-	e := newTracingEngine(t)
-	if _, err := e.Ask("", ""); err == nil {
+	e := newEngine(t)
+	_, err := e.AskTraced("", "")
+	if err == nil {
 		t.Fatal("expected a parse error for empty input")
 	}
-	traces := e.RecentTraces()
-	if len(traces) != 1 {
-		t.Fatalf("retained %d traces after failed Ask, want 1", len(traces))
-	}
-	tr := traces[0]
-	wellFormedTrace(t, tr)
+	tr := traceFromError(t, err)
 	if tr.Root.Name != "ask" {
 		t.Errorf("root = %q, want ask", tr.Root.Name)
 	}
-	var errAttr string
-	for _, a := range tr.Root.Attrs {
-		if a.Key == "error" {
-			errAttr = a.Value
-		}
-	}
-	if !strings.Contains(errAttr, "empty query") {
+	if errAttr := rootAttr(tr, "error"); !strings.Contains(errAttr, "empty query") {
 		t.Errorf("root error attr = %q, want the parse error", errAttr)
 	}
 	if len(tr.Root.Children) == 0 || tr.Root.Children[0].Name != "parse" {
@@ -194,8 +226,8 @@ func TestTraceParseFailure(t *testing.T) {
 // feedback produces a well-formed trace on the answer, with the
 // rejection marked and every feedback code tagged as a counter.
 func TestTraceValidationFeedback(t *testing.T) {
-	e := newTracingEngine(t)
-	ans, err := e.Ask("", "Return every book as cheap as possible.")
+	e := newEngine(t)
+	ans, err := e.AskTraced("", "Return every book as cheap as possible.")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +235,7 @@ func TestTraceValidationFeedback(t *testing.T) {
 		t.Fatal("expected rejection")
 	}
 	wellFormedTrace(t, ans.Trace)
-	var accepted string
-	for _, a := range ans.Trace.Root.Attrs {
-		if a.Key == "accepted" {
-			accepted = a.Value
-		}
-	}
-	if accepted != "false" {
+	if accepted := rootAttr(ans.Trace, "accepted"); accepted != "false" {
 		t.Errorf("root accepted attr = %q, want false", accepted)
 	}
 	var tagged bool
@@ -229,28 +255,29 @@ func TestTraceValidationFeedback(t *testing.T) {
 	}
 }
 
-// TestQueryTraceFailure: a malformed raw XQuery still finishes and
-// retains its trace with the parse span and the error tagged.
+// TestQueryTraceFailure: a malformed raw XQuery still finishes its
+// trace and hands it back in the error, with the parse span and the
+// error tagged.
 func TestQueryTraceFailure(t *testing.T) {
-	e := newTracingEngine(t)
-	if _, err := e.Query("for $x in ((("); err == nil {
+	e := newEngine(t)
+	_, err := e.QueryTraced("for $x in (((")
+	if err == nil {
 		t.Fatal("expected a parse error")
 	}
-	traces := e.RecentTraces()
-	if len(traces) != 1 {
-		t.Fatalf("retained %d traces after failed Query, want 1", len(traces))
+	tr := traceFromError(t, err)
+	if tr.Root.Name != "query" {
+		t.Errorf("root = %q, want query", tr.Root.Name)
 	}
-	wellFormedTrace(t, traces[0])
-	if traces[0].Root.Name != "query" {
-		t.Errorf("root = %q, want query", traces[0].Root.Name)
+	if len(tr.Root.Children) == 0 || tr.Root.Children[0].Name != "parse" {
+		t.Errorf("failed query lost its parse span:\n%s", tr.Render())
 	}
 }
 
 // TestPerRequestTracedVariants: the *Traced methods attach a per-call
-// trace without EnableTracing — the request-scoped form the HTTP server
-// uses — while the untraced methods stay traceless.
+// trace — the request-scoped form the HTTP server uses — while the
+// untraced methods stay traceless.
 func TestPerRequestTracedVariants(t *testing.T) {
-	e := newEngine(t) // tracing NOT enabled
+	e := newEngine(t)
 	ans, err := e.AskTraced("", acceptanceQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -284,11 +311,7 @@ func TestPerRequestTracedVariants(t *testing.T) {
 		t.Errorf("root = %q, want keyword", ktr.Root.Name)
 	}
 
-	// Per-request tracing does not retain anything engine-wide, and the
-	// plain methods remain traceless.
-	if got := e.RecentTraces(); got != nil {
-		t.Fatalf("RecentTraces = %d traces without EnableTracing", len(got))
-	}
+	// The plain methods remain traceless.
 	plain, err := e.Ask("", acceptanceQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -299,10 +322,11 @@ func TestPerRequestTracedVariants(t *testing.T) {
 }
 
 // TestConcurrentAsk is the contract test for the Engine doc comment: a
-// configured engine serves Ask, Translate, Query and KeywordSearch from
-// many goroutines. Run with -race.
+// configured engine serves AskTraced, TranslateTraced, QueryTraced and
+// KeywordSearchTraced from many goroutines, each call building and
+// returning its own trace. Run with -race.
 func TestConcurrentAsk(t *testing.T) {
-	e := newTracingEngine(t)
+	e := newEngine(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -311,32 +335,31 @@ func TestConcurrentAsk(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
+				var ans *Answer
+				var tr *Trace
+				var err error
 				switch g % 4 {
 				case 0:
-					ans, err := e.Ask("", acceptanceQuery)
+					ans, err = e.AskTraced("", acceptanceQuery)
 					if err == nil && !ans.Accepted {
 						err = errorFromFeedback(ans)
 					}
-					if err != nil {
-						errs <- err
-						return
-					}
 				case 1:
-					if _, err := e.Translate("", "List all titles."); err != nil {
-						errs <- err
-						return
-					}
+					ans, err = e.TranslateTraced("", "List all titles.")
 				case 2:
-					q := `for $b in doc("bib.xml")//book where $b/year > 1991 return $b/title`
-					if _, err := e.Query(q); err != nil {
-						errs <- err
-						return
-					}
+					ans, err = e.QueryTraced(`for $b in doc("bib.xml")//book where $b/year > 1991 return $b/title`)
 				case 3:
-					if _, err := e.KeywordSearch("", `book "Addison-Wesley"`); err != nil {
-						errs <- err
-						return
-					}
+					_, tr, err = e.KeywordSearchTraced("", `book "Addison-Wesley"`)
+				}
+				if ans != nil {
+					tr = ans.Trace
+				}
+				if err == nil && tr == nil {
+					err = errors.New("traced call returned no trace")
+				}
+				if err != nil {
+					errs <- err
+					return
 				}
 			}
 		}()

@@ -7,8 +7,14 @@ set -eux
 
 go build ./...
 go vet ./...
+# Formatting: gofmt -l lists every file whose formatting differs.
+test -z "$(gofmt -l .)"
 go run ./cmd/nalixlint ./...
 go test -race -shuffle=on ./...
+# The root module's ./... skips the nested perfbench module; vet and
+# test it too so a library API change that breaks the benchmark fails
+# here rather than only when the benchmark runs.
+(cd perfbench && go vet ./... && go test ./...)
 # Benchmark smoke: run every benchmark for a single iteration (no
 # timing), so bit-rot in the bench harness fails the gate.
 go test -run '^$' -bench . -benchtime 1x ./...
