@@ -77,29 +77,6 @@ func Tokenize(text string) []string {
 	return terms
 }
 
-// MatchingLeaves returns the leaf nodes whose text contains the phrase
-// (consecutive terms, token-boundary, case-insensitive), in document
-// order.
-func (idx *Index) MatchingLeaves(phrase string) []*xmldb.Node {
-	terms := Tokenize(phrase)
-	if len(terms) == 0 {
-		return nil
-	}
-	first := idx.postings[terms[0]]
-	var out []*xmldb.Node
-	var last *xmldb.Node
-	for _, p := range first {
-		if p.node == last {
-			continue // already matched this leaf
-		}
-		if idx.phraseAt(p, terms[1:]) {
-			out = append(out, p.node)
-			last = p.node
-		}
-	}
-	return out
-}
-
 // phraseAt checks the remaining terms follow consecutively in the same
 // leaf.
 func (idx *Index) phraseAt(start posting, rest []string) bool {

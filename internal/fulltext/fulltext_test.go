@@ -76,20 +76,6 @@ func TestPhraseDoesNotCrossLeaves(t *testing.T) {
 	}
 }
 
-func TestMatchingLeaves(t *testing.T) {
-	idx, _ := newIndex(t)
-	leaves := idx.MatchingLeaves("data on the web")
-	if len(leaves) != 2 {
-		t.Fatalf("leaves = %d, want 2", len(leaves))
-	}
-	if leaves[0].Label != "title" || leaves[1].Label != "abstract" {
-		t.Errorf("leaf labels = %s, %s", leaves[0].Label, leaves[1].Label)
-	}
-	if got := idx.MatchingLeaves(""); got != nil {
-		t.Errorf("empty phrase = %v", got)
-	}
-}
-
 func TestRepeatedTermInLeaf(t *testing.T) {
 	d, err := xmldb.ParseString("r.xml", `<r><x>go go go stop go</x></r>`)
 	if err != nil {
@@ -105,9 +91,6 @@ func TestRepeatedTermInLeaf(t *testing.T) {
 	}
 	if idx.Contains(x, "go stop go stop") {
 		t.Error("impossible phrase matched")
-	}
-	if len(idx.MatchingLeaves("go")) != 1 {
-		t.Error("leaf should be reported once despite repeats")
 	}
 }
 

@@ -50,17 +50,13 @@ type Checker struct {
 
 	mu    sync.Mutex
 	cache map[memoKey]int
-	// cands memoizes candidate streams, guarded by mu. Cached slices are
-	// shared with callers and must be treated as read-only.
-	cands map[memoKey][]*xmldb.Node
 	// Pending cache-hit/miss counts, guarded by mu and flushed to the
 	// package counters in statsFlush-sized batches (see statsFlush).
 	hits   int64
 	misses int64
 }
 
-// memoKey keys the depth and candidate memos by (node id, dense label
-// id).
+// memoKey keys the depth memo by (node Pre, dense label id).
 type memoKey struct {
 	node int32
 	lid  int32
@@ -77,14 +73,13 @@ func NewChecker(doc *xmldb.Document) *Checker {
 		doc:      doc,
 		labelIDs: ids,
 		cache:    make(map[memoKey]int),
-		cands:    make(map[memoKey][]*xmldb.Node),
 	}
 }
 
 // LabelID returns the checker's dense id for a document label, or -1
 // when the label does not occur in the document. Resolving the id once
-// and calling the *ByID variants keeps string hashing out of per-tuple
-// loops.
+// and passing it to MLCADepthByID and RelatedCandidates keeps string
+// hashing out of per-tuple loops.
 func (c *Checker) LabelID(label string) int32 {
 	if id, ok := c.labelIDs[label]; ok {
 		return id
@@ -124,7 +119,7 @@ func (c *Checker) MLCADepth(n *xmldb.Node, label string) int {
 // MLCADepthByID is MLCADepth with a pre-resolved label id (see LabelID);
 // lid must be valid.
 func (c *Checker) MLCADepthByID(n *xmldb.Node, lid int32) int {
-	key := memoKey{int32(n.ID), lid}
+	key := memoKey{int32(n.Pre), lid}
 	c.mu.Lock()
 	d, ok := c.cache[key]
 	if ok {
@@ -238,18 +233,13 @@ func (c *Checker) isCollectionTop(l *xmldb.Node) bool {
 	return false
 }
 
-// RelatedAll reports whether every pair in nodes is meaningfully related.
-// This is the predicate semantics of mqf($v1, $v2, ...) in a where clause:
-// the bound combination survives iff the nodes form a meaningful group.
-// mqf of fewer than two nodes is trivially true.
-func (c *Checker) RelatedAll(nodes []*xmldb.Node) bool {
-	ok, _ := c.RelatedAllCounted(nodes)
-	return ok
-}
-
-// RelatedAllCounted is RelatedAll plus the number of pairs actually
-// examined before the verdict (the check short-circuits on the first
-// unrelated pair), feeding the mqf_pairs_checked telemetry.
+// RelatedAllCounted reports whether every pair in nodes is meaningfully
+// related, plus the number of pairs examined before the verdict (the
+// check short-circuits on the first unrelated pair), feeding the
+// mqf_pairs_checked telemetry. This is the predicate semantics of
+// mqf($v1, $v2, ...) in a where clause: the bound combination survives
+// iff the nodes form a meaningful group. mqf of fewer than two nodes is
+// trivially true.
 func (c *Checker) RelatedAllCounted(nodes []*xmldb.Node) (bool, int64) {
 	var pairs int64
 	for i := 0; i < len(nodes); i++ {
@@ -267,44 +257,22 @@ func (c *Checker) RelatedAllCounted(nodes []*xmldb.Node) (bool, int64) {
 	return true, pairs
 }
 
-// RelatedCandidates returns the nodes with the given label that are
-// meaningfully related to u, in document (Pre) order. This is the pruning
-// primitive of the structural-join optimizer in the XQuery evaluator:
-// instead of scanning every label-node and filtering, candidates come
-// from the subtree of the deepest ancestor of u that contains the label
-// at all. Results are memoized per (node, label); the returned slice is
-// shared and must not be modified.
-func (c *Checker) RelatedCandidates(u *xmldb.Node, label string) []*xmldb.Node {
-	lid := c.LabelID(label)
+// RelatedCandidates returns the nodes with label id lid (see LabelID)
+// that are meaningfully related to u, in document (Pre) order; nil when
+// lid is -1, the id of an absent label. This is the candidate generator
+// of the structural strategy in the XQuery planner: instead of scanning
+// every label node and filtering, candidates come from the subtree of
+// the deepest ancestor of u that contains the label at all. It memoizes
+// nothing beyond the checker's depth memo; the caller owns the result.
+func (c *Checker) RelatedCandidates(u *xmldb.Node, lid int32) []*xmldb.Node {
 	if lid < 0 {
 		return nil
 	}
-	return c.RelatedCandidatesByID(u, lid)
-}
-
-// RelatedCandidatesByID is RelatedCandidates with a pre-resolved label id
-// (see LabelID); lid must be valid. The returned slice is Pre-sorted,
-// shared and must not be modified.
-func (c *Checker) RelatedCandidatesByID(u *xmldb.Node, lid int32) []*xmldb.Node {
-	key := memoKey{int32(u.ID), lid}
-	c.mu.Lock()
-	out, ok := c.cands[key]
-	c.mu.Unlock()
-	if ok {
-		return out
-	}
-	out = c.relatedCandidates(u, c.labelName(lid))
-	c.mu.Lock()
-	c.cands[key] = out
-	c.mu.Unlock()
-	return out
-}
-
-func (c *Checker) relatedCandidates(u *xmldb.Node, label string) []*xmldb.Node {
+	label := c.labelName(lid)
 	if u.Label == label {
 		return []*xmldb.Node{u}
 	}
-	d := c.MLCADepth(u, label)
+	d := c.MLCADepthByID(u, lid)
 	if d < 0 {
 		return nil
 	}
@@ -313,7 +281,6 @@ func (c *Checker) relatedCandidates(u *xmldb.Node, label string) []*xmldb.Node {
 		return nil
 	}
 	var out []*xmldb.Node
-	var checks int64
 	// Ancestors of u at or above the window root (including w itself) are
 	// always meaningfully related but never appear in the window scan
 	// below — the window holds only w's proper descendants. Emit them
@@ -333,95 +300,25 @@ func (c *Checker) relatedCandidates(u *xmldb.Node, label string) []*xmldb.Node {
 	for i := len(anc) - 1; i >= 0; i-- {
 		out = append(out, anc[i])
 	}
+	// A window rooted at a collection top holds no further candidate, so
+	// it is not scanned. Every other label node m in w's subtree meets u
+	// exactly at w, and Related rejects meetings at a collection top:
+	//   - u has no label descendants, or w would be u;
+	//   - u has no label ancestors below w, or w would be deeper;
+	//   - so m is neither an ancestor nor a descendant of u, and LCA(u, m)
+	//     lies in w's subtree yet no deeper than w, the deepest meeting
+	//     point u forms with the label.
+	// Without this, each editor-only book scans every author under the
+	// corpus root.
+	if w != u && c.isCollectionTop(w) {
+		return out
+	}
+	var checks int64
 	for _, cand := range c.doc.Descendants(w, label) {
 		checks++
 		if c.Related(u, cand) {
 			out = append(out, cand)
 		}
-	}
-	relatedChecks.Add(checks)
-	return out
-}
-
-// Group is one meaningful combination found by Groups: one node per
-// requested label, plus the LCA ("focus") of the combination.
-type Group struct {
-	// Nodes holds one node per requested label, in request order.
-	Nodes []*xmldb.Node
-	// Focus is the lowest common ancestor of Nodes.
-	Focus *xmldb.Node
-}
-
-// Groups enumerates all meaningful combinations of nodes for the given
-// labels: the MLCAS (Meaningful LCA Structure) of the label sets. It is
-// used by the standalone schema-free query API and by tests; the XQuery
-// evaluator uses RelatedAll as a join filter instead.
-//
-// The first two labels are joined holistically with RelatedPairs (one
-// pass over the Pre-sorted label streams); further labels extend each
-// pair through the memoized RelatedCandidates partner sets, filtered
-// pairwise against the nodes already chosen. Groups are produced in
-// lexicographic document order of their node tuples.
-func (c *Checker) Groups(labels ...string) []Group {
-	if len(labels) == 0 {
-		return nil
-	}
-	for _, l := range labels {
-		if c.doc.LabelCount(l) == 0 {
-			return nil
-		}
-	}
-	var out []Group
-	emit := func(chosen []*xmldb.Node) {
-		nodes := make([]*xmldb.Node, len(chosen))
-		copy(nodes, chosen)
-		focus := nodes[0]
-		for _, n := range nodes[1:] {
-			focus = xmldb.LCA(focus, n)
-		}
-		out = append(out, Group{Nodes: nodes, Focus: focus})
-	}
-	first := c.doc.NodesByLabel(labels[0])
-	if len(labels) == 1 {
-		for _, n := range first {
-			emit([]*xmldb.Node{n})
-		}
-		return out
-	}
-	var pairs []Pair
-	if labels[0] == labels[1] {
-		// Distinct same-label nodes are never related; only the
-		// degenerate self-pairs survive.
-		for _, n := range first {
-			pairs = append(pairs, Pair{n, n})
-		}
-	} else {
-		pairs = c.RelatedPairs(labels[0], labels[1])
-	}
-	var checks int64
-	chosen := make([]*xmldb.Node, 0, len(labels))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(labels) {
-			emit(chosen)
-			return
-		}
-	next:
-		for _, cand := range c.RelatedCandidates(chosen[0], labels[i]) {
-			for _, prev := range chosen[1:] {
-				checks++
-				if !c.Related(prev, cand) {
-					continue next
-				}
-			}
-			chosen = append(chosen, cand)
-			rec(i + 1)
-			chosen = chosen[:len(chosen)-1]
-		}
-	}
-	for _, p := range pairs {
-		chosen = append(chosen[:0], p.A, p.B)
-		rec(2)
 	}
 	relatedChecks.Add(checks)
 	return out

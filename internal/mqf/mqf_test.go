@@ -1,6 +1,7 @@
 package mqf
 
 import (
+	"strings"
 	"testing"
 
 	"nalix/internal/xmldb"
@@ -85,14 +86,14 @@ func TestRelatedSymmetricAndReflexive(t *testing.T) {
 			continue
 		}
 		if !c.Related(a, a) {
-			t.Fatalf("node %d not related to itself", a.ID)
+			t.Fatalf("node %d not related to itself", a.Pre)
 		}
 		for _, b := range nodes {
 			if b.Kind != xmldb.ElementNode {
 				continue
 			}
 			if c.Related(a, b) != c.Related(b, a) {
-				t.Fatalf("Related not symmetric for %d,%d", a.ID, b.ID)
+				t.Fatalf("Related not symmetric for %d,%d", a.Pre, b.Pre)
 			}
 		}
 	}
@@ -118,15 +119,15 @@ func TestSection2Disambiguation(t *testing.T) {
 	if c.Related(titles[1], directors[0]) {
 		t.Error("book title should NOT be related to director")
 	}
-	groups := c.Groups("director", "title")
-	if len(groups) != 1 {
-		t.Fatalf("Groups(director,title) = %d groups, want 1", len(groups))
+	got := c.RelatedCandidates(directors[0], c.LabelID("title"))
+	if len(got) != 1 {
+		t.Fatalf("RelatedCandidates(director, title) = %d nodes, want 1", len(got))
 	}
-	if groups[0].Nodes[1] != titles[0] {
-		t.Errorf("group picked wrong title (got value %q)", groups[0].Nodes[1].Value())
+	if got[0] != titles[0] {
+		t.Errorf("picked wrong title (got value %q)", got[0].Value())
 	}
-	if groups[0].Focus.Label != "movie" {
-		t.Errorf("focus label = %q, want movie", groups[0].Focus.Label)
+	if focus := xmldb.LCA(directors[0], got[0]); focus.Label != "movie" {
+		t.Errorf("focus label = %q, want movie", focus.Label)
 	}
 }
 
@@ -148,22 +149,15 @@ func TestSchemaInversion(t *testing.T) {
 </directors>`
 	d := mustDoc(t, "inv.xml", inverted)
 	c := NewChecker(d)
-	groups := c.Groups("name", "title")
-	if len(groups) != 3 {
-		t.Fatalf("Groups(name,title) = %d, want 3", len(groups))
-	}
-	for _, g := range groups {
-		name, title := g.Nodes[0].Value(), g.Nodes[1].Value()
-		switch title {
-		case "The Lord of the Rings":
-			if name != "Peter Jackson" {
-				t.Errorf("title %q grouped with %q", title, name)
-			}
-		default:
-			if name != "Ron Howard" {
-				t.Errorf("title %q grouped with %q", title, name)
-			}
+	var got []string
+	for _, n := range d.NodesByLabel("name") {
+		for _, ti := range c.RelatedCandidates(n, c.LabelID("title")) {
+			got = append(got, n.Value()+": "+ti.Value())
 		}
+	}
+	want := "Ron Howard: A Beautiful Mind, Ron Howard: How the Grinch Stole Christmas, Peter Jackson: The Lord of the Rings"
+	if strings.Join(got, ", ") != want {
+		t.Errorf("related (name, title) pairs = %q, want %q", got, want)
 	}
 }
 
@@ -173,39 +167,30 @@ func TestRelatedAllTriples(t *testing.T) {
 	movies := d.NodesByLabel("movie")
 	titles := d.NodesByLabel("title")
 	directors := d.NodesByLabel("director")
-	if !c.RelatedAll([]*xmldb.Node{movies[2], titles[2], directors[2]}) {
-		t.Error("movie+its title+its director should be a meaningful triple")
+	if ok, pairs := c.RelatedAllCounted([]*xmldb.Node{movies[2], titles[2], directors[2]}); !ok || pairs != 3 {
+		t.Errorf("movie+its title+its director = (%v, %d pairs), want a meaningful triple after 3 pairs", ok, pairs)
 	}
-	if c.RelatedAll([]*xmldb.Node{movies[2], titles[2], directors[3]}) {
+	if ok, _ := c.RelatedAllCounted([]*xmldb.Node{movies[2], titles[2], directors[3]}); ok {
 		t.Error("mixed-movie triple should not be meaningful")
 	}
-	if !c.RelatedAll(nil) || !c.RelatedAll([]*xmldb.Node{movies[0]}) {
-		t.Error("mqf of <2 nodes should be trivially true")
+	for _, nodes := range [][]*xmldb.Node{nil, {movies[0]}} {
+		if ok, pairs := c.RelatedAllCounted(nodes); !ok || pairs != 0 {
+			t.Errorf("mqf of %d nodes = (%v, %d pairs), want trivially true", len(nodes), ok, pairs)
+		}
 	}
 }
 
+// TestGroupsMissingLabel checks that a label absent from the document
+// has id -1 and no related candidates.
 func TestGroupsMissingLabel(t *testing.T) {
 	d := mustDoc(t, "movies.xml", moviesXML)
 	c := NewChecker(d)
-	if got := c.Groups("director", "isbn"); got != nil {
-		t.Errorf("Groups with absent label = %v, want nil", got)
+	lid := c.LabelID("isbn")
+	if lid != -1 {
+		t.Fatalf("LabelID(isbn) = %d, want -1", lid)
 	}
-	if got := c.Groups(); got != nil {
-		t.Errorf("Groups() = %v, want nil", got)
-	}
-}
-
-func TestGroupsSingleLabel(t *testing.T) {
-	d := mustDoc(t, "movies.xml", moviesXML)
-	c := NewChecker(d)
-	got := c.Groups("movie")
-	if len(got) != 5 {
-		t.Fatalf("Groups(movie) = %d, want 5", len(got))
-	}
-	for _, g := range got {
-		if g.Focus != g.Nodes[0] {
-			t.Errorf("single-label focus should be the node itself")
-		}
+	if got := c.RelatedCandidates(d.NodesByLabel("director")[0], lid); got != nil {
+		t.Errorf("RelatedCandidates with absent label = %v, want nil", got)
 	}
 }
 

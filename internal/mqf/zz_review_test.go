@@ -16,7 +16,7 @@ func TestReviewRelatedCandidatesComplete(t *testing.T) {
 	c := NewChecker(doc)
 	_ = c
 	for _, n := range doc.Nodes() {
-		t.Logf("node %s id=%d pre=%d depth=%d kind=%v", n.Label, n.ID, n.Pre, n.Depth, n.Kind)
+		t.Logf("node %s pre=%d depth=%d kind=%v", n.Label, n.Pre, n.Depth, n.Kind)
 	}
 }
 
@@ -36,7 +36,7 @@ func TestReviewCandidatesVsReference(t *testing.T) {
 	if u == nil {
 		t.Fatal("no Y")
 	}
-	got := c.RelatedCandidates(u, "X")
+	got := c.RelatedCandidates(u, c.LabelID("X"))
 	var want []*xmldb.Node
 	for _, n := range doc.NodesByLabel("X") {
 		if c.Related(u, n) {
@@ -45,16 +45,19 @@ func TestReviewCandidatesVsReference(t *testing.T) {
 	}
 	t.Logf("got %d candidates, reference %d", len(got), len(want))
 	for _, n := range got {
-		t.Logf("  got: id=%d pre=%d depth=%d", n.ID, n.Pre, n.Depth)
+		t.Logf("  got: pre=%d depth=%d", n.Pre, n.Depth)
 	}
 	for _, n := range want {
-		t.Logf("  want: id=%d pre=%d depth=%d", n.ID, n.Pre, n.Depth)
+		t.Logf("  want: pre=%d depth=%d", n.Pre, n.Depth)
 	}
 	if len(got) != len(want) {
 		t.Errorf("RelatedCandidates incomplete: got %d want %d", len(got), len(want))
 	}
 }
 
+// TestReviewCandidatesVsReferenceRandom holds RelatedCandidates to the
+// quadratic reference {m : Related(u, m)}, node for node and in Pre
+// order, on seeded documents whose roots are often collection tops.
 func TestReviewCandidatesVsReferenceRandom(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		doc := randomDoc(seed)
@@ -64,7 +67,7 @@ func TestReviewCandidatesVsReferenceRandom(t *testing.T) {
 				continue
 			}
 			for _, label := range doc.Labels() {
-				got := c.RelatedCandidates(n, label)
+				got := c.RelatedCandidates(n, c.LabelID(label))
 				var want []*xmldb.Node
 				for _, m := range doc.NodesByLabel(label) {
 					if c.Related(n, m) {
@@ -72,7 +75,12 @@ func TestReviewCandidatesVsReferenceRandom(t *testing.T) {
 					}
 				}
 				if len(got) != len(want) {
-					t.Fatalf("seed %d node %s#%d label %q: got %d candidates want %d", seed, n.Label, n.ID, label, len(got), len(want))
+					t.Fatalf("seed %d node %s#%d label %q: got %d candidates want %d", seed, n.Label, n.Pre, label, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d node %s#%d label %q: candidate %d is Pre %d, want Pre %d", seed, n.Label, n.Pre, label, i, got[i].Pre, want[i].Pre)
+					}
 				}
 			}
 		}

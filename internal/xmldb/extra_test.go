@@ -21,18 +21,6 @@ func TestNodeKindString(t *testing.T) {
 	}
 }
 
-func TestAncestors(t *testing.T) {
-	d := mustParse(t, "a.xml", `<a><b><c>x</c></b></a>`)
-	c := d.NodesByLabel("c")[0]
-	anc := c.Ancestors()
-	if len(anc) != 3 { // b, a, document
-		t.Fatalf("ancestors = %d, want 3", len(anc))
-	}
-	if anc[0].Label != "b" || anc[1].Label != "a" || anc[2].Kind != DocumentNode {
-		t.Errorf("ancestor order wrong: %v %v %v", anc[0].Label, anc[1].Label, anc[2].Kind)
-	}
-}
-
 func TestNormalizeValue(t *testing.T) {
 	cases := map[string]string{
 		"  Hello  ": "hello",

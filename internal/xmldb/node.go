@@ -46,8 +46,6 @@ func (k NodeKind) String() string {
 // Builder and are immutable afterwards; the evaluator and indexes rely on
 // the numbering fields never changing.
 type Node struct {
-	// ID is the document-wide node identifier (equal to Pre).
-	ID int
 	// Kind is the node kind.
 	Kind NodeKind
 	// Label is the element or attribute name; empty for text nodes.
@@ -84,16 +82,6 @@ func (n *Node) IsAncestorOf(d *Node) bool {
 // IsAncestorOrSelf reports whether n is d or a proper ancestor of d.
 func (n *Node) IsAncestorOrSelf(d *Node) bool {
 	return n == d || n.IsAncestorOf(d)
-}
-
-// Ancestors returns the ancestors of n from its parent up to the document
-// node, nearest first (reverse document order).
-func (n *Node) Ancestors() []*Node {
-	var out []*Node
-	for p := n.Parent; p != nil; p = p.Parent {
-		out = append(out, p)
-	}
-	return out
 }
 
 // AncestorAtDepth returns the ancestor-or-self of n at the given depth,
@@ -262,22 +250,6 @@ func (d *Document) Descendants(root *Node, label string) []*Node {
 	return all[lo:hi]
 }
 
-// SubtreeContainsLabel reports whether the subtree rooted at root contains
-// an element/attribute node with the given label other than exclude (which
-// may be nil).
-func (d *Document) SubtreeContainsLabel(root *Node, label string, exclude *Node) bool {
-	win := d.Descendants(root, label)
-	for _, n := range win {
-		if n != exclude {
-			return true
-		}
-	}
-	if root.Label == label && root != exclude {
-		return true
-	}
-	return false
-}
-
 // NodesWithValue returns element and attribute nodes whose atomized value
 // equals (case-insensitively) the given string, in document order. Used to
 // resolve implicit name tokens (Definition 11 of the paper). The index is
@@ -312,7 +284,6 @@ func (d *Document) finalize() {
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
 		n.Pre = pre
-		n.ID = pre
 		n.Depth = depth
 		pre++
 		d.nodes = append(d.nodes, n)

@@ -136,21 +136,6 @@ func TestDescendantsWindow(t *testing.T) {
 	}
 }
 
-func TestSubtreeContainsLabel(t *testing.T) {
-	d := mustParse(t, "movies.xml", moviesXML)
-	years := d.NodesByLabel("year")
-	movies := d.NodesByLabel("movie")
-	if !d.SubtreeContainsLabel(years[0], "director", nil) {
-		t.Error("year[0] should contain a director")
-	}
-	if d.SubtreeContainsLabel(movies[0], "movie", movies[0]) {
-		t.Error("movie[0] subtree should not contain another movie")
-	}
-	if !d.SubtreeContainsLabel(movies[0], "movie", nil) {
-		t.Error("movie[0] subtree contains itself")
-	}
-}
-
 func TestNodesWithValue(t *testing.T) {
 	d := mustParse(t, "movies.xml", moviesXML)
 	got := d.NodesWithValue("Ron Howard")
@@ -285,19 +270,19 @@ func TestLCAProperty(t *testing.T) {
 		for _, b := range nodes {
 			l := LCA(a, b)
 			if l == nil {
-				t.Fatalf("nil LCA for %d,%d", a.ID, b.ID)
+				t.Fatalf("nil LCA for %d,%d", a.Pre, b.Pre)
 			}
 			if !l.IsAncestorOrSelf(a) || !l.IsAncestorOrSelf(b) {
-				t.Fatalf("LCA(%d,%d)=%d not common ancestor", a.ID, b.ID, l.ID)
+				t.Fatalf("LCA(%d,%d)=%d not common ancestor", a.Pre, b.Pre, l.Pre)
 			}
 			// Lowest: no child of l is an ancestor-or-self of both.
 			for _, c := range l.Children {
 				if c.IsAncestorOrSelf(a) && c.IsAncestorOrSelf(b) {
-					t.Fatalf("LCA(%d,%d)=%d not lowest (child %d works)", a.ID, b.ID, l.ID, c.ID)
+					t.Fatalf("LCA(%d,%d)=%d not lowest (child %d works)", a.Pre, b.Pre, l.Pre, c.Pre)
 				}
 			}
 			if LCA(b, a) != l {
-				t.Fatalf("LCA not symmetric for %d,%d", a.ID, b.ID)
+				t.Fatalf("LCA not symmetric for %d,%d", a.Pre, b.Pre)
 			}
 		}
 	}

@@ -127,24 +127,6 @@ func (op CmpOp) String() string {
 	}
 }
 
-// Negate returns the complementary operator.
-func (op CmpOp) Negate() CmpOp {
-	switch op {
-	case OpEq:
-		return OpNe
-	case OpNe:
-		return OpEq
-	case OpLt:
-		return OpGe
-	case OpLe:
-		return OpGt
-	case OpGt:
-		return OpLe
-	default:
-		return OpLt
-	}
-}
-
 // Logical is a binary boolean expression ("and" / "or").
 type Logical struct {
 	Op          LogicOp

@@ -22,11 +22,15 @@ import (
 // parallel. Each evaluation keeps its mutable state (binding budget,
 // environment frames, stage trace) in its own evaluation context; the
 // caches evaluations share — compiled programs with their domain memos,
-// the mqf checkers and the full-text indexes — are guarded by mutexes.
+// the mqf checkers, the structural-domain memos and the full-text
+// indexes — are guarded by mutexes.
 type Engine struct {
 	docs     map[string]*xmldb.Document
 	defName  string
 	checkers map[string]*mqf.Checker
+	// memos holds each document's structural-domain memo, shared by
+	// every program and every shard window that evaluates against it.
+	memos map[string]*domainMemo
 
 	// MQFDisabled makes mqf() degenerate to "always true" (pure
 	// cross-product joins). Used by the ablation benchmarks only.
@@ -81,6 +85,7 @@ func NewEngine() *Engine {
 	return &Engine{
 		docs:     make(map[string]*xmldb.Document),
 		checkers: make(map[string]*mqf.Checker),
+		memos:    make(map[string]*domainMemo),
 		rootDoc:  make(map[*xmldb.Node]*xmldb.Document),
 	}
 }
@@ -89,7 +94,7 @@ func NewEngine() *Engine {
 // default document (referenced by bare `doc` or a leading "//" path).
 // Replacing a document under the same name publishes the outgoing
 // checker's pending cache statistics first, so short-lived checkers never
-// drop batched counts.
+// drop batched counts, and drops its structural-domain memo.
 func (e *Engine) AddDocument(d *xmldb.Document) {
 	if old, ok := e.docs[d.Name]; ok {
 		delete(e.rootDoc, old.Root)
@@ -100,6 +105,7 @@ func (e *Engine) AddDocument(d *xmldb.Document) {
 	e.docs[d.Name] = d
 	e.rootDoc[d.Root] = d
 	e.checkers[d.Name] = mqf.NewChecker(d)
+	e.memos[d.Name] = &domainMemo{m: make(map[domainKey]Sequence)}
 	// Compiled programs resolve documents, checkers and domain contents
 	// eagerly, so any document change invalidates them all.
 	e.mu.Lock()
@@ -478,18 +484,6 @@ type program struct {
 	// literal (a bound-variable comparand changes per tuple, so it is
 	// never cached).
 	eqDomains map[int]Sequence
-	// structMemo[i] memoizes clause i's structural-join domain by the
-	// partner nodes that produced it (document order positions identify
-	// nodes within one document).
-	structMemo []map[partnerKey]Sequence
-}
-
-// partnerKey identifies a structural domain by its resolved partner
-// nodes: up to four Pre positions plus the count. Clauses with more
-// partners skip the memo.
-type partnerKey struct {
-	pre [4]int32
-	n   int8
 }
 
 // flworProgram compiles f — splitting conjuncts, ordering clauses,
@@ -576,7 +570,6 @@ func (e *Engine) flworProgram(f *FLWOR, env0 *env) *program {
 	}
 	p.domains = make(map[int]Sequence)
 	p.eqDomains = make(map[int]Sequence)
-	p.structMemo = make([]map[partnerKey]Sequence, len(clauses))
 	p.drivingIdx = -1
 	if v, _, ok := e.drivingClause(f); ok {
 		for i, cl := range clauses {

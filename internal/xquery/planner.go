@@ -2,6 +2,7 @@ package xquery
 
 import (
 	"sort"
+	"sync"
 
 	"nalix/internal/mqf"
 	"nalix/internal/obs"
@@ -32,8 +33,8 @@ const (
 	// driven by an equality conjunct against a literal or bound variable.
 	stratEquality
 	// stratStructural prunes the domain to the nodes structurally related
-	// (mqf) to already-bound partner variables, via the holistic
-	// candidate machinery in internal/mqf.
+	// (mqf) to already-bound partner variables, via
+	// mqf.Checker.RelatedCandidates.
 	stratStructural
 )
 
@@ -68,11 +69,12 @@ type clausePlan struct {
 	// (doc//label); nil doc means the generic scan path.
 	doc   *xmldb.Document
 	label string
-	// checker and labelID are resolved once here so the per-tuple
+	// checker, memo and labelID are resolved once here so the per-tuple
 	// structural path probes integer-keyed memos only — no string
 	// hashing in the binding loops. labelID is -1 when the label does
 	// not occur in the document.
 	checker *mqf.Checker
+	memo    *domainMemo
 	labelID int32
 	// partnerVars are the variables whose bound nodes prune this clause's
 	// domain under the structural strategy: the union of the other
@@ -133,6 +135,7 @@ func (e *Engine) planDomains(f *FLWOR, env0 *env, conjuncts []Expr) *flworPlan {
 		}
 		cp.doc, cp.label = doc, label
 		cp.checker = e.checkers[doc.Name]
+		cp.memo = e.memos[doc.Name]
 		cp.labelID = cp.checker.LabelID(label)
 		if !e.MQFDisabled && !dup {
 			seen := map[string]bool{}
@@ -736,7 +739,7 @@ func (e *Engine) forDomain(prog *program, i int, cur *env) (Sequence, error) {
 	}
 	if (cp.strategy == stratEquality || cp.strategy == stratStructural) &&
 		len(cp.partnerVars) > 0 && !e.MQFDisabled {
-		if out, ok := e.structuralDomain(prog, i, cp, cur); ok {
+		if out, ok := e.structuralDomain(cp, cur); ok {
 			domainStructural.Add(1)
 			tr.domain(stratStructural)
 			return out, nil
@@ -764,24 +767,93 @@ func (e *Engine) forDomain(prog *program, i int, cur *env) (Sequence, error) {
 	return e.eval(cl.Source, cur)
 }
 
-// structMemoCap bounds each clause's structural-domain memo; an eviction
-// (full clear) at the cap keeps memory proportional to the working set of
-// one query shape rather than the whole binding space.
-const structMemoCap = 1 << 15
+// A structural-domain memo accounts memoEntryBytes per entry (key,
+// Sequence header, share of the map) plus memoItemBytes per item of
+// capacity (one interface value), and clears itself wholesale before it
+// would pass domainMemoBytes: it holds the working set of recent
+// questions, not every partner tuple ever probed.
+const (
+	domainMemoBytes = 16 << 20
+	memoEntryBytes  = 64
+	memoItemBytes   = 16
+)
 
-// structuralDomain produces clause i's binding domain from the
+// domainMemo memoizes one document's structural-join domains, which are
+// pure functions of the clause label and the resolved partner nodes, for
+// every program and shard window evaluating against the document.
+// Single-partner entries are RelatedCandidates streams; multi-partner
+// entries are their intersections. Stored sequences are read-only.
+type domainMemo struct {
+	mu    sync.RWMutex
+	m     map[domainKey]Sequence
+	bytes int64 // accounted size of m, at most domainMemoBytes
+}
+
+// domainKey identifies a structural domain: the clause label's id and the
+// Pre positions of up to four resolved partners. Clauses with more
+// partners skip the memo for their intersection.
+type domainKey struct {
+	pre [4]int32
+	lid int32
+	n   int8
+}
+
+func (m *domainMemo) get(k domainKey) (Sequence, bool) {
+	m.mu.RLock()
+	seq, ok := m.m[k]
+	m.mu.RUnlock()
+	return seq, ok
+}
+
+// put stores seq under k unless a racing evaluation stored it first (both
+// computed the same domain) or seq alone is larger than the bound.
+func (m *domainMemo) put(k domainKey, seq Sequence) {
+	size := memoEntryBytes + memoItemBytes*int64(cap(seq))
+	if size > domainMemoBytes {
+		return
+	}
+	m.mu.Lock()
+	if _, dup := m.m[k]; !dup {
+		if m.bytes+size > domainMemoBytes {
+			m.m = make(map[domainKey]Sequence)
+			m.bytes = 0
+		}
+		m.m[k] = seq
+		m.bytes += size
+	}
+	m.mu.Unlock()
+}
+
+// candidates returns the lid-labelled nodes meaningfully related to u as
+// a binding sequence in document order, memoized as u's single-partner
+// domain.
+func (m *domainMemo) candidates(c *mqf.Checker, u *xmldb.Node, lid int32) Sequence {
+	k := domainKey{lid: lid, n: 1}
+	k.pre[0] = int32(u.Pre)
+	if seq, ok := m.get(k); ok {
+		return seq
+	}
+	nodes := c.RelatedCandidates(u, lid)
+	seq := make(Sequence, len(nodes))
+	for i, n := range nodes {
+		seq[i] = NodeItem{n}
+	}
+	m.put(k, seq)
+	return seq
+}
+
+// structuralDomain produces a clause's binding domain from the
 // structural join: the label nodes meaningfully related to every
-// resolvable partner variable. Each partner's memoized candidate stream
-// is Pre-sorted, and a node is related to a partner exactly when it
-// appears in that partner's stream — so the intersection is a k-pointer
-// sorted merge seeded from the smallest stream, with no per-candidate
+// resolvable partner variable. Each partner's candidate stream is
+// Pre-sorted, and a node is related to a partner exactly when it appears
+// in that partner's stream — so the intersection is a k-pointer sorted
+// merge seeded from the smallest stream, with no per-candidate
 // relatedness checks. A variable joined by several mqf conjuncts is
-// therefore pruned by all of them, not just the first. The result is
-// memoized on the program keyed by the resolved partner nodes — the
-// domain is a pure function of them. Returns ok=false when no partner
-// resolves to a single same-document node (the caller then falls back to
-// the scan) or the clause label is absent.
-func (e *Engine) structuralDomain(prog *program, i int, cp *clausePlan, cur *env) (Sequence, bool) {
+// therefore pruned by all of them, not just the first. Streams and
+// intersections come from the document's domain memo. Returns ok=false
+// when no partner resolves to a single same-document node (the caller
+// then falls back to the scan) or the clause label is absent.
+func (e *Engine) structuralDomain(cp *clausePlan, cur *env) (Sequence, bool) {
 	if cp.labelID < 0 {
 		return nil, false
 	}
@@ -794,27 +866,27 @@ func (e *Engine) structuralDomain(prog *program, i int, cp *clausePlan, cur *env
 			}
 		}
 	}
-	if len(nodes) == 0 {
+	switch len(nodes) {
+	case 0:
 		return nil, false
+	case 1:
+		return cp.memo.candidates(cp.checker, nodes[0], cp.labelID), true
 	}
-	var key partnerKey
+	key := domainKey{lid: cp.labelID}
 	useMemo := len(nodes) <= len(key.pre)
 	if useMemo {
 		key.n = int8(len(nodes))
 		for k, n := range nodes {
 			key.pre[k] = int32(n.Pre)
 		}
-		prog.mu.RLock()
-		seq, ok := prog.structMemo[i][key]
-		prog.mu.RUnlock()
-		if ok {
+		if seq, ok := cp.memo.get(key); ok {
 			return seq, true
 		}
 	}
-	var streamBuf [4][]*xmldb.Node
+	var streamBuf [4]Sequence
 	streams := streamBuf[:0]
 	for _, n := range nodes {
-		streams = append(streams, cp.checker.RelatedCandidatesByID(n, cp.labelID))
+		streams = append(streams, cp.memo.candidates(cp.checker, n, cp.labelID))
 	}
 	seed, seedIdx := streams[0], 0
 	for k := 1; k < len(streams); k++ {
@@ -829,34 +901,28 @@ func (e *Engine) structuralDomain(prog *program, i int, cp *clausePlan, cur *env
 		idx = make([]int, len(streams))
 	}
 	for _, cand := range seed {
+		pre := cand.(NodeItem).Node.Pre
 		match := true
 		for k := range streams {
 			if k == seedIdx {
 				continue
 			}
 			s, j := streams[k], idx[k]
-			for j < len(s) && s[j].Pre < cand.Pre {
+			for j < len(s) && s[j].(NodeItem).Node.Pre < pre {
 				j++
 			}
 			idx[k] = j
-			if j >= len(s) || s[j].Pre != cand.Pre {
+			if j >= len(s) || s[j].(NodeItem).Node.Pre != pre {
 				match = false
 				break
 			}
 		}
 		if match {
-			out = append(out, NodeItem{cand})
+			out = append(out, cand)
 		}
 	}
 	if useMemo {
-		prog.mu.Lock()
-		m := prog.structMemo[i]
-		if m == nil || len(m) >= structMemoCap {
-			m = make(map[partnerKey]Sequence)
-			prog.structMemo[i] = m
-		}
-		m[key] = out
-		prog.mu.Unlock()
+		cp.memo.put(key, out)
 	}
 	return out, true
 }

@@ -244,7 +244,7 @@ func (s Sequence) String() string {
 	for i, it := range s {
 		switch v := it.(type) {
 		case NodeItem:
-			parts[i] = fmt.Sprintf("node(%s#%d)", v.Node.Label, v.Node.ID)
+			parts[i] = fmt.Sprintf("node(%s#%d)", v.Node.Label, v.Node.Pre)
 		default:
 			parts[i] = AtomizeItem(it)
 		}
