@@ -2,7 +2,6 @@ package nalix
 
 import (
 	"fmt"
-	"time"
 
 	"nalix/internal/cache"
 	"nalix/internal/core"
@@ -20,14 +19,6 @@ type CacheConfig struct {
 	// (0 = DefaultCacheBytes): half goes to the result cache, a quarter
 	// each to the translation and plan caches.
 	MaxBytes int64
-	// TTL expires entries this long after insertion (0 = never).
-	// Staleness needs no TTL — generation-keyed lookups already make
-	// entries from an older corpus or vocabulary unreachable — so this
-	// only bounds how long dead entries occupy memory.
-	TTL time.Duration
-	// Shards is the per-layer shard count (0 = a concurrency-friendly
-	// default).
-	Shards int
 }
 
 // EnableCache turns on the three-layer query cache:
@@ -53,7 +44,7 @@ func (e *Engine) EnableCache(cfg CacheConfig) {
 	}
 	reg := e.registry()
 	e.transCache = cache.New[string, *core.Result](cache.Config{
-		Name: "translation", MaxBytes: total / 4, TTL: cfg.TTL, Shards: cfg.Shards, Registry: reg,
+		Name: "translation", MaxBytes: total / 4, Registry: reg,
 	}, func(k string, r *core.Result) int64 {
 		// The dominant retained pieces beyond the strings are the parse
 		// tree and the AST; 1KiB covers them for the sentence lengths
@@ -61,13 +52,13 @@ func (e *Engine) EnableCache(cfg CacheConfig) {
 		return int64(len(k)+2*len(r.XQuery)) + 1024
 	})
 	e.planCache = cache.New[string, xquery.Expr](cache.Config{
-		Name: "plan", MaxBytes: total / 4, TTL: cfg.TTL, Shards: cfg.Shards, Registry: reg,
+		Name: "plan", MaxBytes: total / 4, Registry: reg,
 	}, func(k string, _ xquery.Expr) int64 {
 		// AST size tracks query text length closely.
 		return int64(8*len(k)) + 256
 	})
 	e.resultCache = cache.New[string, *Answer](cache.Config{
-		Name: "result", MaxBytes: total / 2, TTL: cfg.TTL, Shards: cfg.Shards, Registry: reg,
+		Name: "result", MaxBytes: total / 2, Registry: reg,
 	}, answerSize)
 	e.flight = cache.NewFlight[*Answer]("ask", reg)
 	e.xq.SetPlanCache(e.planCache)
@@ -131,14 +122,13 @@ func (e *Engine) serveCached(stored *Answer, t *obs.Trace, how string) *Answer {
 
 // CacheLayerStats mirrors one layer's statistics in the public API.
 type CacheLayerStats struct {
-	Name        string `json:"name"`
-	Hits        int64  `json:"hits"`
-	Misses      int64  `json:"misses"`
-	Evictions   int64  `json:"evictions"`
-	Expirations int64  `json:"expirations,omitempty"`
-	Entries     int64  `json:"entries"`
-	Bytes       int64  `json:"bytes"`
-	MaxBytes    int64  `json:"max_bytes"`
+	Name      string `json:"name"`
+	Hits      int64  `json:"hits"`
+	Misses    int64  `json:"misses"`
+	Evictions int64  `json:"evictions"`
+	Entries   int64  `json:"entries"`
+	Bytes     int64  `json:"bytes"`
+	MaxBytes  int64  `json:"max_bytes"`
 }
 
 // FlightStats mirrors the singleflight group's statistics.

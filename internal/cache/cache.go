@@ -1,5 +1,5 @@
 // Package cache is the query-cache substrate of the engine: a generic
-// sharded LRU with byte-size accounting and optional TTL, a singleflight
+// sharded LRU with byte-size accounting, a singleflight
 // group that collapses concurrent identical misses into one computation,
 // and the canonicalizer that turns English query sentences into cache
 // keys. Three layers of the pipeline are built on it (see nalix.Engine):
@@ -17,7 +17,6 @@ package cache
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nalix/internal/obs"
 )
@@ -45,9 +44,6 @@ type Config struct {
 	// The bound is enforced per shard (MaxBytes/Shards), so a pathological
 	// key distribution can under-fill but never over-fill the cache.
 	MaxBytes int64
-	// TTL expires entries this long after insertion (0 = never). Expired
-	// entries count as misses and are dropped on access.
-	TTL time.Duration
 	// Shards is the shard count (0 = DefaultShards).
 	Shards int
 	// Registry receives the layer's counters and gauges (nil = obs.Default).
@@ -62,7 +58,6 @@ type Sizer[K ~string, V any] func(K, V) int64
 // concurrent use; each shard has its own mutex and its own LRU order.
 type Cache[K ~string, V any] struct {
 	name     string
-	ttl      time.Duration
 	maxBytes int64
 	sizer    Sizer[K, V]
 	shards   []*shard[K, V]
@@ -70,10 +65,10 @@ type Cache[K ~string, V any] struct {
 	// Stats are mirrored twice: plain atomics feed the registry-free
 	// Stats() snapshot (what /debug/cache serves), and obs handles feed
 	// whatever registry the layer was constructed with.
-	nHits, nMisses, nEvicted, nExpired atomic.Int64
-	nEntries, nBytes                   atomic.Int64
-	hits, misses, evictions, expired   *obs.StatCounter
-	entries, bytes                     *obs.Gauge
+	nHits, nMisses, nEvicted atomic.Int64
+	nEntries, nBytes         atomic.Int64
+	hits, misses, evictions  *obs.StatCounter
+	entries, bytes           *obs.Gauge
 }
 
 // shard is one LRU partition. mu guards every other field; the list
@@ -91,7 +86,6 @@ type entry[K ~string, V any] struct {
 	key        K
 	val        V
 	size       int64
-	expire     int64 // unix nanos; 0 = never
 	prev, next *entry[K, V]
 }
 
@@ -113,14 +107,12 @@ func New[K ~string, V any](cfg Config, sizer Sizer[K, V]) *Cache[K, V] {
 	}
 	c := &Cache[K, V]{
 		name:      cfg.Name,
-		ttl:       cfg.TTL,
 		maxBytes:  cfg.MaxBytes,
 		sizer:     sizer,
 		shards:    make([]*shard[K, V], cfg.Shards),
 		hits:      reg.Counter("cache_" + cfg.Name + "_hits"),
 		misses:    reg.Counter("cache_" + cfg.Name + "_misses"),
 		evictions: reg.Counter("cache_" + cfg.Name + "_evictions"),
-		expired:   reg.Counter("cache_" + cfg.Name + "_expirations"),
 		entries:   reg.Gauge("cache_" + cfg.Name + "_entries"),
 		bytes:     reg.Gauge("cache_" + cfg.Name + "_bytes"),
 	}
@@ -151,27 +143,11 @@ func (c *Cache[K, V]) shardFor(k K) *shard[K, V] {
 	return c.shards[h%uint64(len(c.shards))]
 }
 
-// Get returns the cached value for k and whether it was present. An
-// entry past its TTL is dropped and reported as an expiration plus a
-// miss.
+// Get returns the cached value for k and whether it was present.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	s := c.shardFor(k)
-	var now int64
-	if c.ttl > 0 {
-		now = time.Now().UnixNano()
-	}
 	s.mu.Lock()
 	e, ok := s.items[k]
-	var freed int64
-	expired := false
-	if ok && e.expire > 0 && now > e.expire {
-		s.lru.remove(e)
-		delete(s.items, k)
-		s.bytes -= e.size
-		freed = e.size
-		ok = false
-		expired = true
-	}
 	var v V
 	if ok {
 		s.lru.moveToFront(e)
@@ -179,11 +155,6 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	}
 	s.mu.Unlock()
 
-	if expired {
-		c.expired.Add(1)
-		c.nExpired.Add(1)
-		c.account(-1, -freed)
-	}
 	if !ok {
 		c.misses.Add(1)
 		c.nMisses.Add(1)
@@ -199,12 +170,8 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 // size alone exceeds the shard budget is not cached.
 func (c *Cache[K, V]) Put(k K, v V) {
 	size := c.sizer(k, v) + entryOverhead
-	var expire int64
-	if c.ttl > 0 {
-		expire = time.Now().Add(c.ttl).UnixNano()
-	}
 	s := c.shardFor(k)
-	entryDelta, byteDelta, evicted := s.put(k, v, size, expire)
+	entryDelta, byteDelta, evicted := s.put(k, v, size)
 	if evicted > 0 {
 		c.evictions.Add(evicted)
 		c.nEvicted.Add(evicted)
@@ -215,7 +182,7 @@ func (c *Cache[K, V]) Put(k K, v V) {
 // put performs the locked portion of Put, returning the accounting
 // deltas. A value whose accounted size exceeds the shard budget is not
 // stored.
-func (s *shard[K, V]) put(k K, v V, size, expire int64) (entryDelta, byteDelta, evicted int64) {
+func (s *shard[K, V]) put(k K, v V, size int64) (entryDelta, byteDelta, evicted int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if size > s.max {
@@ -228,7 +195,7 @@ func (s *shard[K, V]) put(k K, v V, size, expire int64) (entryDelta, byteDelta, 
 		entryDelta--
 		byteDelta -= old.size
 	}
-	e := &entry[K, V]{key: k, val: v, size: size, expire: expire}
+	e := &entry[K, V]{key: k, val: v, size: size}
 	s.items[k] = e
 	s.lru.pushFront(e)
 	s.bytes += size
@@ -306,27 +273,25 @@ func (c *Cache[K, V]) account(entryDelta, byteDelta int64) {
 // LayerStats is one cache layer's point-in-time statistics, the shape
 // /debug/cache and Engine.CacheStats serve.
 type LayerStats struct {
-	Name        string `json:"name"`
-	Hits        int64  `json:"hits"`
-	Misses      int64  `json:"misses"`
-	Evictions   int64  `json:"evictions"`
-	Expirations int64  `json:"expirations,omitempty"`
-	Entries     int64  `json:"entries"`
-	Bytes       int64  `json:"bytes"`
-	MaxBytes    int64  `json:"max_bytes"`
+	Name      string `json:"name"`
+	Hits      int64  `json:"hits"`
+	Misses    int64  `json:"misses"`
+	Evictions int64  `json:"evictions"`
+	Entries   int64  `json:"entries"`
+	Bytes     int64  `json:"bytes"`
+	MaxBytes  int64  `json:"max_bytes"`
 }
 
 // Stats snapshots the layer.
 func (c *Cache[K, V]) Stats() LayerStats {
 	return LayerStats{
-		Name:        c.name,
-		Hits:        c.nHits.Load(),
-		Misses:      c.nMisses.Load(),
-		Evictions:   c.nEvicted.Load(),
-		Expirations: c.nExpired.Load(),
-		Entries:     c.nEntries.Load(),
-		Bytes:       c.nBytes.Load(),
-		MaxBytes:    c.maxBytes,
+		Name:      c.name,
+		Hits:      c.nHits.Load(),
+		Misses:    c.nMisses.Load(),
+		Evictions: c.nEvicted.Load(),
+		Entries:   c.nEntries.Load(),
+		Bytes:     c.nBytes.Load(),
+		MaxBytes:  c.maxBytes,
 	}
 }
 

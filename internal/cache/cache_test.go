@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"nalix/internal/obs"
 )
@@ -105,25 +104,6 @@ func TestCacheOversizedValueNotCached(t *testing.T) {
 	c.Put("big", string(make([]byte, 4096)))
 	if c.Len() != 0 {
 		t.Fatal("oversized value was cached")
-	}
-}
-
-func TestCacheTTL(t *testing.T) {
-	c, _ := newTest(t, Config{TTL: 10 * time.Millisecond})
-	c.Put("a", "1")
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("entry expired immediately")
-	}
-	time.Sleep(20 * time.Millisecond)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("entry survived past its TTL")
-	}
-	st := c.Stats()
-	if st.Expirations != 1 {
-		t.Fatalf("expirations = %d, want 1", st.Expirations)
-	}
-	if st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("expired entry still accounted: %+v", st)
 	}
 }
 

@@ -632,7 +632,6 @@ func mergeLayer(total *nalix.CacheLayerStats, st nalix.CacheLayerStats) {
 	total.Hits += st.Hits
 	total.Misses += st.Misses
 	total.Evictions += st.Evictions
-	total.Expirations += st.Expirations
 	total.Entries += st.Entries
 	total.Bytes += st.Bytes
 	total.MaxBytes += st.MaxBytes

@@ -42,11 +42,13 @@ func TestCrossShardingParity(t *testing.T) {
 	}
 }
 
-// scaleQueries are the queries of the scale smoke: three gold queries,
-// plus the translations of "List the title and authors of every book."
-// and "Find the title and year of books whose title contains "Data".",
-// whose cold cost grew quadratically with the corpus until windows
-// rooted at the collection top were skipped.
+// scaleQueries are the queries of the scale smoke: three gold queries;
+// the translations of "List the title and authors of every book." and
+// "Find the title and year of books whose title contains "Data".", whose
+// cold cost grew quadratically with the corpus until windows rooted at
+// the collection top were skipped; and the translation of "List books
+// where the number of authors is at least 2, including their title.", a
+// correlated aggregate whose nested FLWOR runs once per outer binding.
 var scaleQueries = []struct{ name, query string }{
 	{"Q1", TaskByID("Q1").Gold},
 	{"Q4", TaskByID("Q4").Gold},
@@ -56,6 +58,10 @@ var scaleQueries = []struct{ name, query string }{
 	{"title and year of books whose title contains Data", `for $v1 in doc("dblp.xml")//title, $v2 in doc("dblp.xml")//year,
 	    $v3 in doc("dblp.xml")//book, $v4 in doc("dblp.xml")//title
 	    where mqf($v1, $v2, $v3, $v4) and contains($v4, "Data") return ($v1, $v2)`},
+	{"books with at least 2 authors", `for $v1 in doc("dblp.xml")//book, $v3 in doc("dblp.xml")//title
+	    let $vars1 := { for $v4 in doc("dblp.xml")//title, $v2 in doc("dblp.xml")//author
+	                    where mqf($v4, $v2) and $v4 = $v3 return $v2 }
+	    where mqf($v1, $v3) and count($vars1) >= 2 return $v1`},
 }
 
 // TestScaleParity is the CI scale smoke: point NALIX_SCALE_CORPUS at a

@@ -20,17 +20,14 @@ import (
 // then evaluate: once configuration is done, Query, Eval, EvalTraced and
 // EvalSharded are safe for concurrent use, and evaluations run in
 // parallel. Each evaluation keeps its mutable state (binding budget,
-// environment frames, stage trace) in its own evaluation context; the
-// caches evaluations share — compiled programs with their domain memos,
-// the mqf checkers, the structural-domain memos and the full-text
-// indexes — are guarded by mutexes.
+// environment frames, compiled FLWOR programs, stage trace) in its own
+// evaluation context and drops it on return. What evaluations share
+// belongs to a loaded document (see docState): its mqf checker, its
+// domain memo, guarded by its own lock, and its full-text index, built
+// once.
 type Engine struct {
-	docs     map[string]*xmldb.Document
-	defName  string
-	checkers map[string]*mqf.Checker
-	// memos holds each document's structural-domain memo, shared by
-	// every program and every shard window that evaluates against it.
-	memos map[string]*domainMemo
+	docs    map[string]*docState
+	defName string
 
 	// MQFDisabled makes mqf() degenerate to "always true" (pure
 	// cross-product joins). Used by the ablation benchmarks only.
@@ -55,26 +52,36 @@ type Engine struct {
 	// exactly what the strategy-parity tests assert.
 	ForceStrategy string
 
-	// rootDoc maps each loaded document's root node to its document, so
+	// rootDoc maps each loaded document's root node to its state, so
 	// docForNode is one ancestor walk plus a map hit instead of a sorted
 	// scan over every document name.
-	rootDoc map[*xmldb.Node]*xmldb.Document
+	rootDoc map[*xmldb.Node]*docState
 
 	// planCache, when set via SetPlanCache, memoizes Compile results by
 	// query text. Sound without any invalidation: an Expr is a pure
 	// function of the text (documents are resolved at evaluation time)
 	// and evaluation never mutates the AST.
 	planCache *cache.Cache[string, Expr]
+}
 
-	// mu guards the caches concurrent evaluations fill lazily.
-	mu sync.Mutex
-	// progCache memoizes compiled FLWOR programs (clause order, domain
-	// strategies, conjunct readiness, domain memos) for root-environment
-	// evaluations, keyed by AST identity and the option flags the plan
-	// depends on. Invalidated wholesale by AddDocument.
-	progCache map[progKey]*program
-	// ftIdx holds the full-text indexes, built on first ftcontains().
-	ftIdx map[string]*fulltext.Index
+// docState is one loaded document and everything the engine derives from
+// it for evaluations to share: the mqf checker, the domain memo (label
+// scans and structural domains, see domainMemo) and the full-text index,
+// built on first ftcontains(). AddDocument replaces the whole struct, so
+// nothing derived from an older document survives a reload.
+type docState struct {
+	doc     *xmldb.Document
+	checker *mqf.Checker
+	memo    *domainMemo
+	ftOnce  sync.Once
+	ft      *fulltext.Index
+}
+
+// ftIndex returns the document's full-text index, building it on first
+// use; racing first uses wait for the one build.
+func (ds *docState) ftIndex() *fulltext.Index {
+	ds.ftOnce.Do(func() { ds.ft = fulltext.NewIndex(ds.doc) })
+	return ds.ft
 }
 
 // ErrBudget is returned (wrapped) when a query exceeds the binding budget.
@@ -83,10 +90,8 @@ var ErrBudget = fmt.Errorf("xquery: query exceeded the evaluation budget (uncons
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	return &Engine{
-		docs:     make(map[string]*xmldb.Document),
-		checkers: make(map[string]*mqf.Checker),
-		memos:    make(map[string]*domainMemo),
-		rootDoc:  make(map[*xmldb.Node]*xmldb.Document),
+		docs:    make(map[string]*docState),
+		rootDoc: make(map[*xmldb.Node]*docState),
 	}
 }
 
@@ -94,24 +99,20 @@ func NewEngine() *Engine {
 // default document (referenced by bare `doc` or a leading "//" path).
 // Replacing a document under the same name publishes the outgoing
 // checker's pending cache statistics first, so short-lived checkers never
-// drop batched counts, and drops its structural-domain memo.
+// drop batched counts, and drops everything derived from the old
+// document with its state.
 func (e *Engine) AddDocument(d *xmldb.Document) {
 	if old, ok := e.docs[d.Name]; ok {
-		delete(e.rootDoc, old.Root)
-		if c := e.checkers[d.Name]; c != nil {
-			c.FlushStats()
-		}
+		delete(e.rootDoc, old.doc.Root)
+		old.checker.FlushStats()
 	}
-	e.docs[d.Name] = d
-	e.rootDoc[d.Root] = d
-	e.checkers[d.Name] = mqf.NewChecker(d)
-	e.memos[d.Name] = &domainMemo{m: make(map[domainKey]Sequence)}
-	// Compiled programs resolve documents, checkers and domain contents
-	// eagerly, so any document change invalidates them all.
-	e.mu.Lock()
-	e.progCache = nil
-	delete(e.ftIdx, d.Name)
-	e.mu.Unlock()
+	ds := &docState{
+		doc:     d,
+		checker: mqf.NewChecker(d),
+		memo:    &domainMemo{m: make(map[domainKey]Sequence)},
+	}
+	e.docs[d.Name] = ds
+	e.rootDoc[d.Root] = ds
 	if e.defName == "" {
 		e.defName = d.Name
 	}
@@ -122,19 +123,29 @@ func (e *Engine) AddDocument(d *xmldb.Document) {
 // an engine (teardown, corpus reload) so short runs report exact counts.
 func (e *Engine) FlushStats() {
 	//nalixlint:ignore maporder each flush only adds pending counts to monotonic counters, and addition commutes
-	for _, c := range e.checkers {
-		c.FlushStats()
+	for _, ds := range e.docs {
+		ds.checker.FlushStats()
 	}
 }
 
 // Document returns the document with the given name, or the default
 // document when name is empty; ok is false when it is not loaded.
 func (e *Engine) Document(name string) (*xmldb.Document, bool) {
+	ds, ok := e.loaded(name)
+	if !ok {
+		return nil, false
+	}
+	return ds.doc, true
+}
+
+// loaded returns the state of the named document, or of the default
+// document when name is empty.
+func (e *Engine) loaded(name string) (*docState, bool) {
 	if name == "" {
 		name = e.defName
 	}
-	d, ok := e.docs[name]
-	return d, ok
+	ds, ok := e.docs[name]
+	return ds, ok
 }
 
 // DefaultDocument returns the default document, or nil when none is loaded.
@@ -211,6 +222,10 @@ type evalCtx struct {
 	arena []env
 	used  int
 	root  env
+	// progs holds the programs this evaluation compiled, one per FLWOR
+	// node (see evalFLWOR). Cleared on return, so a pooled context holds
+	// no program, domain or node of a finished evaluation.
+	progs map[*FLWOR]*program
 }
 
 var ctxPool = sync.Pool{New: func() any { return new(evalCtx) }}
@@ -247,6 +262,7 @@ func (e *Engine) evalOne(expr Expr, sp *obs.Span, shared *atomic.Int64, win *Ran
 		sp.SetInt("items", int64(len(out)))
 	}
 	c.tr, c.shared = nil, nil
+	clear(c.progs)
 	ctxPool.Put(c)
 	return out, err
 }
@@ -443,20 +459,10 @@ func (e *Engine) eval(expr Expr, env *env) (Sequence, error) {
 	}
 }
 
-// progKey identifies a compiled FLWOR program: the AST node plus every
-// engine option the plan depends on (tests flip these between evaluations
-// on one engine, so they must key separate programs).
-type progKey struct {
-	f      *FLWOR
-	force  string
-	noPlan bool
-	noMQF  bool
-}
-
 // program is the compiled form of one FLWOR expression: the reordered
-// clause list, per-clause domain strategies, conjunct readiness levels,
-// and cross-evaluation domain memos. A program is valid as long as the
-// engine's document set is unchanged (AddDocument drops the cache).
+// clause list, per-clause domain strategies, conjunct readiness levels and
+// the mqf conjuncts the plan discharges. It belongs to the evaluation that
+// compiled it (see evalFLWOR), so nothing in it is shared or locked.
 type program struct {
 	g         *FLWOR // clauses in evaluation order; shares Where/OrderBy/Return with the source
 	reordered bool
@@ -466,31 +472,25 @@ type program struct {
 	// variables are all bound: 0 = before any clause (outer vars only),
 	// len(g.Clauses) = only at tuple completion.
 	readyAt []int
-	// envFree[i] reports whether clause i's source references variables —
-	// sources that don't are evaluated once and memoized in domains.
-	envFree []bool
+	// envDep[i] reports whether clause i's source references variables;
+	// a source that does not is evaluated once per evaluation.
+	envDep []bool
 	// drivingIdx is the evaluation-order index of the driving clause (the
 	// original first for-clause, the one an evaluation window restricts),
 	// or -1 when the query has none.
 	drivingIdx int
 
-	// mu guards the domain memos, which every evaluation of the program
-	// reads and fills — concurrently when evaluations overlap. Reads
-	// dominate once the memos are warm, and the windows of a sharded
-	// evaluation probe them in parallel, so readers share the lock.
-	mu      sync.RWMutex
-	domains map[int]Sequence // scan-strategy domains of env-independent sources
-	// eqDomains memoizes equality-pushdown domains whose comparand is a
-	// literal (a bound-variable comparand changes per tuple, so it is
-	// never cached).
-	eqDomains map[int]Sequence
+	// domains memoizes, by clause index, literal-equality domains and
+	// scans of environment-free sources that are not label domains (label
+	// scans come from the document's memo). Only label-domain clauses
+	// take the equality strategy, so the two kinds never share an index.
+	domains map[int]Sequence
 }
 
-// flworProgram compiles f — splitting conjuncts, ordering clauses,
+// compile builds f's program — splitting conjuncts, ordering clauses,
 // planning domain strategies and conjunct discharge, and computing
-// conjunct readiness — or returns the cached program when f was already
-// compiled under the same option flags. Only root-environment evaluations
-// are cached: an outer binding can shadow plan decisions.
+// conjunct readiness — for evaluation under env0. It reads env0 only to
+// ask which variables are already bound, never their values.
 //
 // The where clause is split into conjuncts, each evaluated as soon as its
 // free variables are bound — a semi-join-style pushdown that prunes the
@@ -500,47 +500,28 @@ type program struct {
 // mqf.Checker.RelatedCandidates), not the whole label domain. This
 // mirrors the structural join optimizations of native XML engines like
 // the paper's Timber.
-func (e *Engine) flworProgram(f *FLWOR, env0 *env) *program {
-	cacheable := env0.parent == nil && env0.name == ""
-	var key progKey
-	if cacheable {
-		key = progKey{f: f, force: e.ForceStrategy, noPlan: e.DisablePlanner, noMQF: e.MQFDisabled}
-		e.mu.Lock()
-		p, ok := e.progCache[key]
-		e.mu.Unlock()
-		if ok {
-			return p
-		}
-	}
+func (e *Engine) compile(f *FLWOR, env0 *env) *program {
 	conjuncts := splitConjuncts(f.Where)
-
-	// Clause reordering: bind selective variables first. Unless the
-	// query orders its results explicitly, document order is restored
-	// afterwards from the bindings of the original first for-clauses.
-	clauses := f.Clauses
-	perm := orderClauses(e, f, env0, conjuncts)
-	reordered := false
-	for i, pi := range perm {
-		if pi != i {
-			reordered = true
-		}
-	}
-	if reordered && !e.DisablePlanner {
-		clauses = make([]Clause, len(perm))
-		for i, pi := range perm {
-			clauses[i] = f.Clauses[pi]
-		}
-	} else {
-		reordered = false
-	}
-	p := &program{
-		g:         &FLWOR{Clauses: clauses, Where: f.Where, OrderBy: f.OrderBy, Return: f.Return},
-		reordered: reordered,
-		conjuncts: conjuncts,
-	}
+	p := &program{g: f, conjuncts: conjuncts, drivingIdx: -1, domains: make(map[int]Sequence)}
 	if !e.DisablePlanner {
+		// Clause reordering: bind selective variables first. evalFLWOR
+		// restores written-clause order from the for-clause bindings.
+		perm := orderClauses(e, f, env0, conjuncts)
+		for i, pi := range perm {
+			if pi != i {
+				p.reordered = true
+			}
+		}
+		if p.reordered {
+			clauses := make([]Clause, len(perm))
+			for i, pi := range perm {
+				clauses[i] = f.Clauses[pi]
+			}
+			p.g = &FLWOR{Clauses: clauses, Where: f.Where, OrderBy: f.OrderBy, Return: f.Return}
+		}
 		p.plan = e.planDomains(p.g, env0, conjuncts)
 	}
+	clauses := p.g.Clauses
 	p.readyAt = make([]int, len(conjuncts))
 	for ci, c := range conjuncts {
 		level := 0
@@ -564,13 +545,10 @@ func (e *Engine) flworProgram(f *FLWOR, env0 *env) *program {
 		}
 		p.readyAt[ci] = level
 	}
-	p.envFree = make([]bool, len(clauses))
+	p.envDep = make([]bool, len(clauses))
 	for i, cl := range clauses {
-		p.envFree[i] = len(freeVars(cl.Source)) > 0
+		p.envDep[i] = len(freeVars(cl.Source)) > 0
 	}
-	p.domains = make(map[int]Sequence)
-	p.eqDomains = make(map[int]Sequence)
-	p.drivingIdx = -1
 	if v, _, ok := e.drivingClause(f); ok {
 		for i, cl := range clauses {
 			if cl.Kind == ForClause && cl.Var == v {
@@ -578,16 +556,6 @@ func (e *Engine) flworProgram(f *FLWOR, env0 *env) *program {
 				break
 			}
 		}
-	}
-	if cacheable {
-		// A racing evaluation may have compiled the same program; either
-		// copy is equivalent, so the last store wins.
-		e.mu.Lock()
-		if e.progCache == nil || len(e.progCache) >= 256 {
-			e.progCache = make(map[progKey]*program)
-		}
-		e.progCache[key] = p
-		e.mu.Unlock()
 	}
 	return p
 }
@@ -669,6 +637,14 @@ func literalItem(x Expr) (Item, bool) {
 // evalFLWOR evaluates f under env0. win, when non-nil, restricts the
 // driving clause's bindings to a Pre range: the caller evaluates one
 // window of a sharded evaluation (see EvalSharded).
+//
+// f's program is compiled on its first evaluation in this call and
+// reused for the rest of it — a nested FLWOR runs once per outer binding.
+// That is sound because compile reads env0 only to ask which variables
+// are already bound, and f's position in the query fixes that set: the
+// outer environment, plus the clauses bound before the let, conjunct,
+// order key or return that holds f. A shard window has its own context
+// and compiles its own program.
 func (e *Engine) evalFLWOR(f *FLWOR, env0 *env, win *Range) (Sequence, error) {
 	type tuple struct {
 		env     *env
@@ -679,7 +655,15 @@ func (e *Engine) evalFLWOR(f *FLWOR, env0 *env, win *Range) (Sequence, error) {
 
 	c := env0.ctx
 	pt0 := c.tr.clock()
-	prog := e.flworProgram(f, env0)
+	prog := c.progs[f]
+	if prog == nil {
+		prog = e.compile(f, env0)
+		if c.progs == nil {
+			c.progs = make(map[*FLWOR]*program)
+		}
+		c.progs[f] = prog
+		c.tr.compiled()
+	}
 	clauses := prog.g.Clauses
 	conjuncts, plan, reordered := prog.conjuncts, prog.plan, prog.reordered
 	if plan != nil && plan.dischargedCount > 0 {
@@ -722,8 +706,8 @@ func (e *Engine) evalFLWOR(f *FLWOR, env0 *env, win *Range) (Sequence, error) {
 				}
 				t.keys = append(t.keys, key)
 			}
-			if reordered && len(f.OrderBy) == 0 {
-				// Document-order restoration keys: the original clause
+			if reordered {
+				// Written-order restoration keys: the original clause
 				// order's bindings.
 				t.docKeys = make([]int, 0, len(f.Clauses))
 				for _, cl := range f.Clauses {
@@ -779,7 +763,9 @@ func (e *Engine) evalFLWOR(f *FLWOR, env0 *env, win *Range) (Sequence, error) {
 		return nil, err
 	}
 
-	if reordered && len(f.OrderBy) == 0 {
+	// Restore the written clauses' enumeration order first, so tuples
+	// with equal order-by keys keep it under every plan.
+	if reordered {
 		sort.SliceStable(tuples, func(a, b int) bool {
 			ka, kb := tuples[a].docKeys, tuples[b].docKeys
 			for i := 0; i < len(ka) && i < len(kb); i++ {
@@ -845,8 +831,8 @@ func (e *Engine) evalPath(p *PathExpr, env *env) (Sequence, error) {
 			}
 			n := ni.Node
 			if st.Descendant {
-				doc := e.docForNode(n)
-				if doc == nil {
+				ds := e.docForNode(n)
+				if ds == nil {
 					// Constructed tree: walk manually.
 					collectDescendants(n, st.Name, &next, seen)
 					continue
@@ -855,7 +841,7 @@ func (e *Engine) evalPath(p *PathExpr, env *env) (Sequence, error) {
 					collectDescendants(n, st.Name, &next, seen)
 					continue
 				}
-				for _, d := range doc.Descendants(n, st.Name) {
+				for _, d := range ds.doc.Descendants(n, st.Name) {
 					if !seen[d] {
 						seen[d] = true
 						next = append(next, d)
@@ -879,39 +865,16 @@ func (e *Engine) evalPath(p *PathExpr, env *env) (Sequence, error) {
 			}
 		}
 		sort.Slice(next, func(i, j int) bool { return next[i].Pre < next[j].Pre })
-		fresh := make(Sequence, 0, len(next))
-		for _, n := range next {
-			fresh = append(fresh, NodeItem{n})
-		}
-		cur = fresh
+		cur = nodeSequence(next)
 	}
 	return cur, nil
-}
-
-// ftIndex returns the full-text index for a document, building it on
-// first use. Racing first uses may each build one; either is equivalent.
-func (e *Engine) ftIndex(doc *xmldb.Document) *fulltext.Index {
-	e.mu.Lock()
-	idx, ok := e.ftIdx[doc.Name]
-	e.mu.Unlock()
-	if ok {
-		return idx
-	}
-	idx = fulltext.NewIndex(doc)
-	e.mu.Lock()
-	if e.ftIdx == nil {
-		e.ftIdx = make(map[string]*fulltext.Index)
-	}
-	e.ftIdx[doc.Name] = idx
-	e.mu.Unlock()
-	return idx
 }
 
 // docForNode finds the loaded document a node belongs to (nil for
 // constructed trees): one walk to the root, one map probe. This sits on
 // the hot path — every mqf() argument and descendant step resolves its
 // document here — so it must not allocate.
-func (e *Engine) docForNode(n *xmldb.Node) *xmldb.Document {
+func (e *Engine) docForNode(n *xmldb.Node) *docState {
 	root := n
 	for root.Parent != nil {
 		root = root.Parent

@@ -62,11 +62,11 @@ func (e *Engine) evalFunc(call *FuncCall, env *env) (Sequence, error) {
 			if !ok {
 				return nil, fmt.Errorf("xquery: ftcontains() expects node arguments")
 			}
-			doc := e.docForNode(n.Node)
-			if doc == nil {
+			ds := e.docForNode(n.Node)
+			if ds == nil {
 				return nil, fmt.Errorf("xquery: ftcontains() over constructed nodes")
 			}
-			if e.ftIndex(doc).Contains(n.Node, phrase) {
+			if ds.ftIndex().Contains(n.Node, phrase) {
 				return Sequence{BoolItem{true}}, nil
 			}
 		}
@@ -257,17 +257,17 @@ func (e *Engine) evalMQF(args []Sequence, tr *evalTrace) (Sequence, error) {
 	if len(nodes) < 2 {
 		return Sequence{BoolItem{true}}, nil
 	}
-	doc := e.docForNode(nodes[0])
-	if doc == nil {
+	ds := e.docForNode(nodes[0])
+	if ds == nil {
 		return nil, fmt.Errorf("xquery: mqf() over constructed nodes")
 	}
 	for _, n := range nodes[1:] {
-		if d := e.docForNode(n); d != doc {
+		if e.docForNode(n) != ds {
 			return Sequence{BoolItem{false}}, nil // cross-document: never related
 		}
 	}
 	t0 := tr.clock()
-	ok, pairs := e.checkers[doc.Name].RelatedAllCounted(nodes)
+	ok, pairs := ds.checker.RelatedAllCounted(nodes)
 	tr.mqf(pairs, t0)
 	return Sequence{BoolItem{ok}}, nil
 }

@@ -22,7 +22,7 @@ func TestDomainMemoBound(t *testing.T) {
 
 	e := NewEngine()
 	e.AddDocument(doc)
-	m := e.memos[doc.Name]
+	m := e.docs[doc.Name].memo
 	accounted := func() int64 {
 		m.mu.RLock()
 		defer m.mu.RUnlock()
@@ -68,6 +68,50 @@ func TestDomainMemoBound(t *testing.T) {
 	m.put(domainKey{lid: -3, n: 1}, huge)
 	if _, ok := m.get(domainKey{lid: -3, n: 1}); ok {
 		t.Error("an entry larger than the bound was stored")
+	}
+}
+
+// TestLabelScanShared asks the translations of 20 distinct title-term
+// questions on one engine. Their title scans are one label domain, so the
+// document memo holds exactly one whole-label entry for title, and every
+// answer equals the planner-off evaluation.
+func TestLabelScanShared(t *testing.T) {
+	terms := []string{"Database", "Query", "XML", "Transaction", "Integration",
+		"Retrieval", "Semistructured", "Optimization", "Mining", "Stream",
+		"Schema", "Web", "Warehousing", "Indexing", "View",
+		"Languages", "Keyword", "Principles", "Survey", "Practice"}
+	doc := dataset.GenerateEntries(100, 200)
+	ref := NewEngine()
+	ref.AddDocument(doc)
+	ref.DisablePlanner = true
+	e := NewEngine()
+	e.AddDocument(doc)
+	for _, term := range terms {
+		q := `for $v1 in doc("dblp.xml")//title, $v2 in doc("dblp.xml")//book
+		      where mqf($v1, $v2) and contains($v1, "` + term + `") return $v1`
+		got, want := runQuery(t, e, q), runQuery(t, ref, q)
+		if got.String() != want.String() {
+			t.Fatalf("%q: answer differs from planner-off evaluation\ngot:  %s\nwant: %s", term, got, want)
+		}
+		if len(want) == 0 {
+			t.Errorf("%q: no answer; the test exercises too little", term)
+		}
+	}
+	ds := e.docs[doc.Name]
+	title := ds.checker.LabelID("title")
+	ds.memo.mu.RLock()
+	defer ds.memo.mu.RUnlock()
+	scans := 0
+	for k, seq := range ds.memo.m {
+		if k.lid == title && k.n == 0 {
+			scans++
+			if len(seq) != doc.LabelCount("title") {
+				t.Errorf("memoized title scan holds %d nodes, want %d", len(seq), doc.LabelCount("title"))
+			}
+		}
+	}
+	if scans != 1 {
+		t.Errorf("document memo holds %d whole-label title entries, want 1", scans)
 	}
 }
 

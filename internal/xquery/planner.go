@@ -65,16 +65,13 @@ const scanCardinalityCutoff = 8
 // clausePlan is the planner's static decision for one FLWOR clause.
 type clausePlan struct {
 	strategy domainStrategy
-	// doc and label are set when the clause ranges over a label domain
-	// (doc//label); nil doc means the generic scan path.
-	doc   *xmldb.Document
+	// ds and label are set when the clause ranges over a label domain
+	// (doc//label); nil ds means the generic scan path.
+	ds    *docState
 	label string
-	// checker, memo and labelID are resolved once here so the per-tuple
-	// structural path probes integer-keyed memos only — no string
-	// hashing in the binding loops. labelID is -1 when the label does
-	// not occur in the document.
-	checker *mqf.Checker
-	memo    *domainMemo
+	// labelID is resolved once here so the per-tuple paths probe
+	// integer-keyed memos only — no string hashing in the binding loops.
+	// It is -1 when the label does not occur in the document.
 	labelID int32
 	// partnerVars are the variables whose bound nodes prune this clause's
 	// domain under the structural strategy: the union of the other
@@ -129,14 +126,12 @@ func (e *Engine) planDomains(f *FLWOR, env0 *env, conjuncts []Expr) *flworPlan {
 		if cl.Kind != ForClause {
 			continue
 		}
-		doc, label, ok := e.labelDomain(cl.Source)
+		ds, label, ok := e.labelDomain(cl.Source)
 		if !ok {
 			continue
 		}
-		cp.doc, cp.label = doc, label
-		cp.checker = e.checkers[doc.Name]
-		cp.memo = e.memos[doc.Name]
-		cp.labelID = cp.checker.LabelID(label)
+		cp.ds, cp.label = ds, label
+		cp.labelID = ds.checker.LabelID(label)
 		if !e.MQFDisabled && !dup {
 			seen := map[string]bool{}
 			for _, c := range conjuncts {
@@ -159,7 +154,7 @@ func (e *Engine) planDomains(f *FLWOR, env0 *env, conjuncts []Expr) *flworPlan {
 						}
 						jc := f.Clauses[j]
 						if jc.Kind == ForClause {
-							if d2, _, ok2 := e.labelDomain(jc.Source); ok2 && d2 == doc {
+							if d2, _, ok2 := e.labelDomain(jc.Source); ok2 && d2 == ds {
 								cp.guaranteed = true
 							}
 						}
@@ -187,7 +182,7 @@ func (e *Engine) planDomains(f *FLWOR, env0 *env, conjuncts []Expr) *flworPlan {
 			}
 		case hasEq:
 			cp.strategy = stratEquality
-		case len(cp.partnerVars) > 0 && doc.LabelCount(label) > scanCardinalityCutoff:
+		case len(cp.partnerVars) > 0 && ds.doc.LabelCount(label) > scanCardinalityCutoff:
 			cp.strategy = stratStructural
 		default:
 			cp.strategy = stratScan
@@ -210,7 +205,7 @@ func (e *Engine) planDomains(f *FLWOR, env0 *env, conjuncts []Expr) *flworPlan {
 		}
 		argIdx := make([]int, 0, len(call.Args))
 		seen := map[string]bool{}
-		var doc *xmldb.Document
+		var ds *docState
 		okAll := true
 		for _, a := range call.Args {
 			v, isVar := a.(*VarRef)
@@ -234,13 +229,13 @@ func (e *Engine) planDomains(f *FLWOR, env0 *env, conjuncts []Expr) *flworPlan {
 				break
 			}
 			cpj := &plan.clauses[j]
-			if cpj.doc == nil {
+			if cpj.ds == nil {
 				okAll = false
 				break
 			}
-			if doc == nil {
-				doc = cpj.doc
-			} else if doc != cpj.doc {
+			if ds == nil {
+				ds = cpj.ds
+			} else if ds != cpj.ds {
 				okAll = false
 				break
 			}
@@ -287,57 +282,36 @@ type PlanReport struct {
 }
 
 // ExplainPlan reports the plan the evaluator would follow for expr
-// without evaluating it: nil when expr is not a FLWOR. It respects
-// DisablePlanner and ForceStrategy, so it prints exactly what an Eval of
-// the same expression would do.
+// without evaluating it: nil when expr is not a FLWOR. It compiles expr
+// as an evaluation does, so it respects DisablePlanner and ForceStrategy
+// and prints exactly what an Eval of the same expression would do.
 func (e *Engine) ExplainPlan(expr Expr) *PlanReport {
 	f, ok := expr.(*FLWOR)
 	if !ok {
 		return nil
 	}
-	env0 := &env{}
-	conjuncts := splitConjuncts(f.Where)
-	rep := &PlanReport{}
-	clauses := f.Clauses
-	if !e.DisablePlanner {
-		perm := orderClauses(e, f, env0, conjuncts)
-		for i, pi := range perm {
-			if pi != i {
-				rep.Reordered = true
-			}
-		}
-		if rep.Reordered {
-			clauses = make([]Clause, len(perm))
-			for i, pi := range perm {
-				clauses[i] = f.Clauses[pi]
-			}
-		}
-	}
-	g := &FLWOR{Clauses: clauses, Where: f.Where, OrderBy: f.OrderBy, Return: f.Return}
-	var plan *flworPlan
-	if !e.DisablePlanner {
-		plan = e.planDomains(g, env0, conjuncts)
-	}
-	for i, cl := range clauses {
+	prog := e.compile(f, &env{})
+	rep := &PlanReport{Reordered: prog.reordered}
+	for i, cl := range prog.g.Clauses {
 		if cl.Kind != ForClause {
 			continue
 		}
 		pi := PlanInfo{Var: cl.Var, Strategy: StrategyScan}
-		if plan != nil {
-			cp := &plan.clauses[i]
+		if prog.plan != nil {
+			cp := &prog.plan.clauses[i]
 			pi.Strategy = cp.strategy.String()
 			pi.Label = cp.label
 			pi.Partners = cp.partnerVars
-			if cp.doc != nil {
-				pi.Cardinality = cp.doc.LabelCount(cp.label)
+			if cp.ds != nil {
+				pi.Cardinality = cp.ds.doc.LabelCount(cp.label)
 			}
 		}
 		rep.Clauses = append(rep.Clauses, pi)
 	}
-	for ci, c := range conjuncts {
+	for ci, c := range prog.conjuncts {
 		if call, isCall := c.(*FuncCall); isCall && call.Name == "mqf" {
 			rep.MQF++
-			if plan != nil && plan.discharged[ci] {
+			if prog.plan != nil && prog.plan.discharged[ci] {
 				rep.Discharged++
 			}
 		}
@@ -474,8 +448,8 @@ func copyBound(m map[string]bool) map[string]bool {
 }
 
 // labelDomain recognizes a for-source of the shape doc//label (optionally
-// doc("name")//label) and returns the document and label.
-func (e *Engine) labelDomain(src Expr) (*xmldb.Document, string, bool) {
+// doc("name")//label) and returns the document's state and the label.
+func (e *Engine) labelDomain(src Expr) (*docState, string, bool) {
 	p, ok := src.(*PathExpr)
 	if !ok || len(p.Steps) != 1 || !p.Steps[0].Descendant || p.Steps[0].Name == "*" {
 		return nil, "", false
@@ -488,11 +462,11 @@ func (e *Engine) labelDomain(src Expr) (*xmldb.Document, string, bool) {
 	if !ok {
 		return nil, "", false
 	}
-	doc, ok := e.Document(d.Name)
+	ds, ok := e.loaded(d.Name)
 	if !ok {
 		return nil, "", false
 	}
-	return doc, p.Steps[0].Name, true
+	return ds, p.Steps[0].Name, true
 }
 
 // equalityCandidates inspects the conjuncts for an equality between the
@@ -535,12 +509,7 @@ func (e *Engine) equalityCandidates(doc *xmldb.Document, label, varName string, 
 		default:
 			continue
 		}
-		nodes := doc.NodesByLabelValue(label, value)
-		out := make(Sequence, 0, len(nodes))
-		for _, n := range nodes {
-			out = append(out, NodeItem{n})
-		}
-		return out, lit, true
+		return nodeSequence(doc.NodesByLabelValue(label, value)), lit, true
 	}
 	return nil, false, false
 }
@@ -701,14 +670,15 @@ func isLiteral(e Expr) bool {
 // forDomain produces the binding sequence for for-clause i, following the
 // program's strategy: equality pushdown from the value index, structural
 // pruning to nodes meaningfully related to already-bound partners, or the
-// plain scan (with caching for environment-independent sources). A
-// strategy whose runtime preconditions fail (unbound comparand,
-// no resolvable partner) falls through to the next cheaper one, so the
-// result is the same binding domain the scan would produce, filtered.
+// plain scan (label scans from the document's memo, other
+// environment-independent sources once per evaluation). A strategy whose
+// runtime preconditions fail (unbound comparand, no resolvable partner)
+// falls through to the next cheaper one, so the result is the same
+// binding domain the scan would produce, filtered.
 func (e *Engine) forDomain(prog *program, i int, cur *env) (Sequence, error) {
 	cl := prog.g.Clauses[i]
 	plan := prog.plan
-	if e.DisablePlanner || plan == nil {
+	if plan == nil {
 		return e.eval(cl.Source, cur)
 	}
 	tr := cur.ctx.tr
@@ -718,20 +688,14 @@ func (e *Engine) forDomain(prog *program, i int, cur *env) (Sequence, error) {
 		// turns the domain scan into a value-index lookup. Literal
 		// comparands give the same domain every tuple, so it is memoized
 		// on the program.
-		prog.mu.RLock()
-		seq, hit := prog.eqDomains[i]
-		prog.mu.RUnlock()
-		if hit {
-			domainEquality.Add(1)
-			tr.domain(stratEquality)
-			return seq, nil
-		}
-		if seq, literal, hit := e.equalityCandidates(cp.doc, cp.label, cl.Var, cur, prog.conjuncts); hit {
-			if literal {
-				prog.mu.Lock()
-				prog.eqDomains[i] = seq
-				prog.mu.Unlock()
+		seq, hit := prog.domains[i]
+		if !hit {
+			var literal bool
+			if seq, literal, hit = e.equalityCandidates(cp.ds.doc, cp.label, cl.Var, cur, prog.conjuncts); hit && literal {
+				prog.domains[i] = seq
 			}
+		}
+		if hit {
 			domainEquality.Add(1)
 			tr.domain(stratEquality)
 			return seq, nil
@@ -747,51 +711,49 @@ func (e *Engine) forDomain(prog *program, i int, cur *env) (Sequence, error) {
 	}
 	domainScan.Add(1)
 	tr.domain(stratScan)
-	// Environment-independent source: evaluate once and cache.
-	if !prog.envFree[i] {
-		prog.mu.RLock()
-		seq, ok := prog.domains[i]
-		prog.mu.RUnlock()
-		if ok {
-			return seq, nil
-		}
-		seq, err := e.eval(cl.Source, cur)
-		if err != nil {
-			return nil, err
-		}
-		prog.mu.Lock()
-		prog.domains[i] = seq
-		prog.mu.Unlock()
+	if cp.ds != nil {
+		return cp.ds.memo.labelScan(cp.ds.doc, cp.label, cp.labelID), nil
+	}
+	if prog.envDep[i] {
+		return e.eval(cl.Source, cur)
+	}
+	if seq, ok := prog.domains[i]; ok {
 		return seq, nil
 	}
-	return e.eval(cl.Source, cur)
+	seq, err := e.eval(cl.Source, cur)
+	if err != nil {
+		return nil, err
+	}
+	prog.domains[i] = seq
+	return seq, nil
 }
 
-// A structural-domain memo accounts memoEntryBytes per entry (key,
-// Sequence header, share of the map) plus memoItemBytes per item of
-// capacity (one interface value), and clears itself wholesale before it
-// would pass domainMemoBytes: it holds the working set of recent
-// questions, not every partner tuple ever probed.
+// A domain memo accounts memoEntryBytes per entry (key, Sequence
+// header, share of the map) plus memoItemBytes per item of capacity (one
+// interface value), and clears itself wholesale before it would pass
+// domainMemoBytes: it holds the working set of recent questions, not
+// every partner tuple ever probed.
 const (
 	domainMemoBytes = 16 << 20
 	memoEntryBytes  = 64
 	memoItemBytes   = 16
 )
 
-// domainMemo memoizes one document's structural-join domains, which are
-// pure functions of the clause label and the resolved partner nodes, for
-// every program and shard window evaluating against the document.
-// Single-partner entries are RelatedCandidates streams; multi-partner
-// entries are their intersections. Stored sequences are read-only.
+// domainMemo memoizes one document's label domains, which are pure
+// functions of the clause label and the resolved partner nodes, for every
+// evaluation and shard window evaluating against the document. Entries
+// with no partner are label scans; single-partner entries are
+// RelatedCandidates streams; multi-partner entries are their
+// intersections. Stored sequences are read-only.
 type domainMemo struct {
 	mu    sync.RWMutex
 	m     map[domainKey]Sequence
 	bytes int64 // accounted size of m, at most domainMemoBytes
 }
 
-// domainKey identifies a structural domain: the clause label's id and the
-// Pre positions of up to four resolved partners. Clauses with more
-// partners skip the memo for their intersection.
+// domainKey identifies a label domain: the clause label's id and the Pre
+// positions of up to four resolved partners (n = 0 for the whole label).
+// Clauses with more partners skip the memo for their intersection.
 type domainKey struct {
 	pre [4]int32
 	lid int32
@@ -824,6 +786,20 @@ func (m *domainMemo) put(k domainKey, seq Sequence) {
 	m.mu.Unlock()
 }
 
+// labelScan returns every label-labelled node of doc (lid is the label's
+// id) as a binding sequence in document order, memoized under n = 0. The
+// label index is already Pre-sorted and duplicate-free, so this is the
+// answer the path scan doc//label computes, without its dedup and sort.
+func (m *domainMemo) labelScan(doc *xmldb.Document, label string, lid int32) Sequence {
+	k := domainKey{lid: lid}
+	if seq, ok := m.get(k); ok {
+		return seq
+	}
+	seq := nodeSequence(doc.NodesByLabel(label))
+	m.put(k, seq)
+	return seq
+}
+
 // candidates returns the lid-labelled nodes meaningfully related to u as
 // a binding sequence in document order, memoized as u's single-partner
 // domain.
@@ -833,11 +809,7 @@ func (m *domainMemo) candidates(c *mqf.Checker, u *xmldb.Node, lid int32) Sequen
 	if seq, ok := m.get(k); ok {
 		return seq
 	}
-	nodes := c.RelatedCandidates(u, lid)
-	seq := make(Sequence, len(nodes))
-	for i, n := range nodes {
-		seq[i] = NodeItem{n}
-	}
+	seq := nodeSequence(c.RelatedCandidates(u, lid))
 	m.put(k, seq)
 	return seq
 }
@@ -861,7 +833,7 @@ func (e *Engine) structuralDomain(cp *clausePlan, cur *env) (Sequence, bool) {
 	nodes := nodeBuf[:0]
 	for _, name := range cp.partnerVars {
 		if val, ok := cur.lookup(name); ok && len(val) == 1 {
-			if ni, okn := val[0].(NodeItem); okn && e.docForNode(ni.Node) == cp.doc {
+			if ni, okn := val[0].(NodeItem); okn && e.docForNode(ni.Node) == cp.ds {
 				nodes = append(nodes, ni.Node)
 			}
 		}
@@ -870,7 +842,7 @@ func (e *Engine) structuralDomain(cp *clausePlan, cur *env) (Sequence, bool) {
 	case 0:
 		return nil, false
 	case 1:
-		return cp.memo.candidates(cp.checker, nodes[0], cp.labelID), true
+		return cp.ds.memo.candidates(cp.ds.checker, nodes[0], cp.labelID), true
 	}
 	key := domainKey{lid: cp.labelID}
 	useMemo := len(nodes) <= len(key.pre)
@@ -879,14 +851,14 @@ func (e *Engine) structuralDomain(cp *clausePlan, cur *env) (Sequence, bool) {
 		for k, n := range nodes {
 			key.pre[k] = int32(n.Pre)
 		}
-		if seq, ok := cp.memo.get(key); ok {
+		if seq, ok := cp.ds.memo.get(key); ok {
 			return seq, true
 		}
 	}
 	var streamBuf [4]Sequence
 	streams := streamBuf[:0]
 	for _, n := range nodes {
-		streams = append(streams, cp.memo.candidates(cp.checker, n, cp.labelID))
+		streams = append(streams, cp.ds.memo.candidates(cp.ds.checker, n, cp.labelID))
 	}
 	seed, seedIdx := streams[0], 0
 	for k := 1; k < len(streams); k++ {
@@ -922,7 +894,7 @@ func (e *Engine) structuralDomain(cp *clausePlan, cur *env) (Sequence, bool) {
 		}
 	}
 	if useMemo {
-		cp.memo.put(key, out)
+		cp.ds.memo.put(key, out)
 	}
 	return out, true
 }

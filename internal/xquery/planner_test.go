@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"nalix/internal/dataset"
+	"nalix/internal/obs"
 	"nalix/internal/xmldb"
 )
 
@@ -139,34 +141,76 @@ func TestMultiConjunctIntersection(t *testing.T) {
 	}
 }
 
-// TestProgramCacheInvalidation checks that replacing a document drops
-// compiled programs: a stale program would answer from the old
-// document's domains.
-func TestProgramCacheInvalidation(t *testing.T) {
-	e := newTestEngine(t)
-	q := `for $t in doc("movies.xml")//title where $t = "Traffic" return $t`
+// TestProgramsCompiledOncePerEvaluation evaluates the translation of
+// "Return the earliest year for each author.": its nested FLWOR runs once
+// per outer author, but one evaluation compiles each of the two FLWORs
+// once, at every corpus size. The plan span of the eval trace counts the
+// programs compiled.
+func TestProgramsCompiledOncePerEvaluation(t *testing.T) {
+	const q = `for $v2 in doc("dblp.xml")//author
+	           let $vars1 := { for $v3 in doc("dblp.xml")//author, $v1 in doc("dblp.xml")//year
+	                           where mqf($v3, $v1) and $v3 = $v2 return $v1 }
+	           return min($vars1)`
 	expr, err := Parse(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Eval(expr)
+	for _, n := range []int{500, 1000} {
+		e := NewEngine()
+		e.AddDocument(dataset.GenerateEntries(n, 2*n))
+		tr := obs.NewTrace("eval")
+		if _, err := e.EvalTraced(expr, tr.Root()); err != nil {
+			t.Fatal(err)
+		}
+		programs := ""
+		for _, ch := range tr.Root().Children() {
+			for _, a := range ch.Attrs() {
+				if ch.Name() == "plan" && a.Key == "programs" {
+					programs = a.Value
+				}
+			}
+		}
+		if programs != "2" {
+			t.Errorf("GenerateEntries(%d, %d): one evaluation compiled %q programs, want 2", n, 2*n, programs)
+		}
+	}
+}
+
+// TestProgramCacheInvalidation checks that replacing a document drops
+// everything derived from it: a stale program or memoized label scan
+// would answer from the old document's domains.
+func TestProgramCacheInvalidation(t *testing.T) {
+	e := newTestEngine(t)
+	eq, err := Parse(`for $t in doc("movies.xml")//title where $t = "Traffic" return $t`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first) != 1 {
-		t.Fatalf("first eval: %d results, want 1", len(first))
+	scan, err := Parse(`for $t in doc("movies.xml")//title return $t`)
+	if err != nil {
+		t.Fatal(err)
 	}
+	count := func(expr Expr) int {
+		t.Helper()
+		seq, err := e.Eval(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(seq)
+	}
+	if n := count(eq); n != 1 {
+		t.Fatalf("first eval: %d results, want 1", n)
+	}
+	before := count(scan)
 	repl := `<movies><movie><title>Traffic</title></movie><movie><title>Traffic</title></movie></movies>`
 	doc, err := xmldb.ParseString("movies.xml", repl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.AddDocument(doc)
-	second, err := e.Eval(expr)
-	if err != nil {
-		t.Fatal(err)
+	if n := count(eq); n != 2 {
+		t.Errorf("after document replacement: %d results, want 2 (stale equality domain?)", n)
 	}
-	if len(second) != 2 {
-		t.Errorf("after document replacement: %d results, want 2 (stale compiled program?)", len(second))
+	if n := count(scan); n != 2 {
+		t.Errorf("after document replacement: the title scan has %d results (%d before), want 2 (stale memo?)", n, before)
 	}
 }

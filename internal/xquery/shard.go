@@ -11,13 +11,13 @@ import (
 	"nalix/internal/xmldb"
 )
 
-// Sharded evaluation runs one compiled program over N Pre windows of a
-// document concurrently. A window restricts only the *driving clause* of
-// the top-level FLWOR — the first for-clause in author order, the one
-// whose bindings determine result order — to a contiguous Pre range.
-// Every other clause, conjunct, nested FLWOR and path step still sees
-// the whole document, so a window produces exactly the tuples whose
-// driving binding falls inside it.
+// Sharded evaluation runs one query over N Pre windows of a document
+// concurrently, each window compiling its own program. A window restricts
+// only the *driving clause* of the top-level FLWOR — the first for-clause
+// in author order, the one whose bindings determine result order — to a
+// contiguous Pre range. Every other clause, conjunct, nested FLWOR and
+// path step still sees the whole document, so a window produces exactly
+// the tuples whose driving binding falls inside it.
 //
 // Correctness argument (DESIGN.md §15): for a FLWOR without order-by,
 // result order is driven by the original first for-variable — directly
@@ -102,7 +102,7 @@ func (e *Engine) EvalSharded(expr Expr, n int, sp *obs.Span) (Sequence, error) {
 		shardFallback.Add(1)
 		return e.EvalTraced(expr, sp)
 	}
-	ranges := Partition(e.docs[docName], n)
+	ranges := Partition(e.docs[docName].doc, n)
 	type part struct {
 		seq Sequence
 		err error
@@ -176,11 +176,11 @@ func (e *Engine) drivingClause(expr Expr) (varName, docName string, ok bool) {
 		if cl.Kind != ForClause {
 			continue
 		}
-		d, _, isLabel := e.labelDomain(cl.Source)
+		ds, _, isLabel := e.labelDomain(cl.Source)
 		if !isLabel {
 			return "", "", false
 		}
-		return cl.Var, d.Name, true
+		return cl.Var, ds.doc.Name, true
 	}
 	return "", "", false
 }

@@ -283,11 +283,11 @@ func TestShardedEvalKeepsEngineOptions(t *testing.T) {
 }
 
 // TestScatterGatherConcurrent runs evaluations from many goroutines at
-// once on one engine: windowed and whole runs of the same cached
-// programs, a contains() and an ftcontains() shape, and an order-by
-// query. The engine starts cold, so program compilation, the domain
-// memos and the full-text index are all first filled under contention.
-// Run under -race this is the engine's concurrency check.
+// once on one engine: windowed and whole runs of the same parsed
+// queries, a contains() and an ftcontains() shape, and an order-by
+// query. The engine starts cold, so the document's domain memo and its
+// full-text index are first filled and built under contention. Run
+// under -race this is the engine's concurrency check.
 func TestScatterGatherConcurrent(t *testing.T) {
 	d := skewedCorpus(t, 150, 42)
 	queries := []string{

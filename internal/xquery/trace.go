@@ -23,9 +23,10 @@ type evalTrace struct {
 	mqfCalls int64
 	mqfPairs int64
 
-	// Per-strategy domain production counts and the number of mqf
-	// conjuncts the plan discharged, rendered as attributes of the plan
-	// child span.
+	// The programs compiled, per-strategy domain production counts and
+	// the number of mqf conjuncts the plan discharged, rendered as
+	// attributes of the plan child span.
+	programs   int64
 	domEq      int64
 	domStruct  int64
 	domScan    int64
@@ -56,6 +57,14 @@ func (t *evalTrace) plan(t0 time.Time) {
 		return
 	}
 	t.planNS += time.Since(t0).Nanoseconds()
+}
+
+// compiled records one FLWOR program compiled.
+func (t *evalTrace) compiled() {
+	if t == nil {
+		return
+	}
+	t.programs++
 }
 
 // clause charges one domain evaluation producing n bindings to the
@@ -120,6 +129,9 @@ func (t *evalTrace) flush(sp *obs.Span) {
 		return
 	}
 	pc := sp.AddChild("plan", time.Duration(t.planNS))
+	if t.programs > 0 {
+		pc.SetInt("programs", t.programs)
+	}
 	if t.domEq > 0 {
 		pc.SetInt("equality", t.domEq)
 	}

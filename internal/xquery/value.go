@@ -32,6 +32,15 @@ func (BoolItem) itemValue()   {}
 // Sequence is an ordered XQuery value.
 type Sequence []Item
 
+// nodeSequence wraps nodes as a sequence of node items, in their order.
+func nodeSequence(nodes []*xmldb.Node) Sequence {
+	seq := make(Sequence, len(nodes))
+	for i, n := range nodes {
+		seq[i] = NodeItem{n}
+	}
+	return seq
+}
+
 // AtomizeItem returns the string value of an item.
 func AtomizeItem(it Item) string {
 	switch v := it.(type) {
